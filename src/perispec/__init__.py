@@ -1,7 +1,7 @@
 """Eigenvalues of the linear peridynamic operator.
 
-Exact hypergeometric representations (summed with cancellation-safe extended
-precision), their closed-form large-wavenumber asymptotics, and an
+Exact hypergeometric representations (summed with cancellation-safe
+fixed-point arithmetic), their closed-form large-wavenumber asymptotics, and an
 independent quadrature oracle derived from the operator's integral
 definition.
 """
@@ -38,10 +38,8 @@ from .hyper import (
     HypergeometricSeries,
     InvalidSeriesError,
     PrecisionExhaustedError,
-    eval_1f2,
-    eval_2f3,
-    eval_3f4,
     eval_pfq,
+    required_bits,
 )
 from .oracle import (
     QuadratureConvergenceError,
@@ -52,8 +50,7 @@ from .oracle import (
     oracle_multipliers,
     oracle_selftest,
 )
-from .special import EULER_GAMMA, GammaPoleError, digamma, euler_gamma, gamma, pochhammer, reciprocal_gamma
-from .xprec import Precision, XReal, required_bits
+from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, pochhammer, reciprocal_gamma
 
 __version__ = "0.1.0"
 
@@ -70,7 +67,6 @@ __all__ = [
     "HypergeometricSeries",
     "InvalidSeriesError",
     "MaterialParams",
-    "Precision",
     "PrecisionExhaustedError",
     "QuadratureConvergenceError",
     "QuadratureSpec",
@@ -78,7 +74,6 @@ __all__ = [
     "SpectrumSample",
     "UnsupportedDimensionError",
     "WaveNumber",
-    "XReal",
     "asym_lambda1",
     "asym_lambda11",
     "asym_lambda12",
@@ -88,10 +83,6 @@ __all__ = [
     "derive",
     "digamma",
     "error_envelope",
-    "euler_gamma",
-    "eval_1f2",
-    "eval_2f3",
-    "eval_3f4",
     "eval_pfq",
     "eval_spectrum",
     "gamma",

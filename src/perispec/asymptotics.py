@@ -95,8 +95,9 @@ def branch_for(params: MaterialParams) -> AsymptoticBranch:
     return AsymptoticBranch.POWER_LAW
 
 
-def _shared_constant(params: MaterialParams) -> float:
-    # Residue at s = -1, common to lambda2 and lambda11 (power branch only).
+def bounded_limit(params: MaterialParams) -> float:
+    """-4 mu a b / (delta^2 (a-1)): the residue at s = -1, common to lambda2
+    and lambda11 on the power branch, and their large-z limit for beta < n."""
     d = derive(params)
     return -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (d.a - 1.0))
 
@@ -108,7 +109,7 @@ def asym_lambda2(params: MaterialParams, nu_norm: float) -> float:
     if branch_for(params) is AsymptoticBranch.LOGARITHMIC:
         return -(4.0 * mu * d.a * d.b / delta ** 2) * (2.0 * math.log(z) + EULER_GAMMA - digamma(d.b))
     coeff = gamma(d.b + 1.0) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * (beta + 2.0)) / (0.5 * (beta - n))
-    return _shared_constant(params) - coeff * (4.0 * mu / delta ** 2) * z ** (beta - n)
+    return bounded_limit(params) - coeff * (4.0 * mu / delta ** 2) * z ** (beta - n)
 
 
 def asym_lambda11(params: MaterialParams, nu_norm: float) -> float:
@@ -124,7 +125,7 @@ def asym_lambda11(params: MaterialParams, nu_norm: float) -> float:
         * gamma(d.a + 1.0)
         * reciprocal_gamma(0.5 * (beta + 2.0))
     )
-    return _shared_constant(params) - coeff * (8.0 * mu / delta ** 2) * z ** (beta - n)
+    return bounded_limit(params) - coeff * (8.0 * mu / delta ** 2) * z ** (beta - n)
 
 
 def asym_lambda12(params: MaterialParams, nu_norm: float) -> float:

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .hyper import EvalResult, HypergeometricSeries, eval_pfq
+from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, eval_pfq
 from .special import gamma
-from .xprec import DOUBLE_BITS
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
@@ -242,28 +241,30 @@ def eval_spectrum(
     samples = []
     for nu in grid:
         w = WaveNumber.of(params, nu)
-        if nu > 0.0 and has_asym:
-            asym1 = asymptotics.asym_lambda1(params, nu)
-            asym2 = asymptotics.asym_lambda2(params, nu)
-        else:
-            asym1 = None
-            asym2 = None
         if policy.mode == "hybrid" and w.z > policy.z_switch and has_asym:
             l11 = asymptotics.asym_lambda11(params, nu)
             l12 = asymptotics.asym_lambda12(params, nu)
+            l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
+            l2 = asymptotics.asym_lambda2(params, nu)
             samples.append(
                 SpectrumSample(
                     nu_norm=nu,
-                    lambda1=l11 + l12,
-                    lambda2=asym2 if asym2 is not None else 0.0,
+                    lambda1=l1,
+                    lambda2=l2,
                     lambda11=l11,
                     lambda12=l12,
-                    asym1=asym1,
-                    asym2=asym2,
+                    asym1=l1,
+                    asym2=l2,
                     method="asymptotic",
                 )
             )
         else:
+            if nu > 0.0 and has_asym:
+                asym1 = asymptotics.asym_lambda1(params, nu)
+                asym2 = asymptotics.asym_lambda2(params, nu)
+            else:
+                asym1 = None
+                asym2 = None
             r11 = lambda11(params, nu, tol)
             r12 = lambda12(params, nu, tol)
             samples.append(

@@ -2,11 +2,15 @@
 
 For p <= q these series are entire, but at large z they are dominated by
 catastrophic cancellation: the terms peak near e^(2z) while the sum is O(1).
-``eval_pfq`` sums the term recurrence in extended precision sized by
-``xprec.required_bits`` and certifies the result with an explicit error
-estimate.  ``eval_pfq_float64`` is the deliberately naive double-precision
-summation kept around to demonstrate (and regression-test) why the extended
-path exists.
+``eval_pfq`` therefore sums the term recurrence in binary fixed point on
+Python integers: every term is an integer scaled by 2^bits, with ``bits`` from
+``required_bits``.  All series parameters and z^2 are doubles, hence exact
+dyadic rationals, so each term step is one integer multiply and one floor
+division (error below one unit of 2^-bits), the truncation test is an exact
+integer comparison, and the sum is rounded to double once at the end.  The
+result carries an explicit error estimate.  ``eval_pfq_float64`` is the
+deliberately naive double-precision summation kept around to demonstrate (and
+regression-test) why the fixed-point path exists.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .xprec import Precision, XReal, required_bits
-
 #: Hard ceiling on working precision; beyond it evaluation refuses to run.
 MAX_PRECISION_BITS = 1 << 20
 
@@ -24,6 +26,10 @@ MAX_PRECISION_BITS = 1 << 20
 #: decreasing near k ~ z and are negligible by k ~ e*z, so the cap scales
 #: with z instead of silently mis-summing long series.
 MIN_TERM_CAP = 10_000
+
+DOUBLE_BITS = 53
+
+_LOG2_E = math.log2(math.e)
 
 _REL_ERR_RANGE = (1e-15, 1e-2)
 
@@ -34,6 +40,17 @@ class InvalidSeriesError(ValueError):
 
 class PrecisionExhaustedError(ArithmeticError):
     """Evaluation would exceed the configured precision or term budget."""
+
+
+def required_bits(z: float, headroom: int = 40) -> int:
+    """Working precision for summing a pFq series at argument -z^2.
+
+    53 base bits, plus ceil(2*z*log2(e)) bits lost to cancellation against the
+    e^(2z) term peak, plus fixed headroom.
+    """
+    if z < 0 or not math.isfinite(z):
+        raise ValueError(f"z must be finite and >= 0, got {z}")
+    return DOUBLE_BITS + math.ceil(2.0 * z * _LOG2_E) + headroom
 
 
 def default_max_terms(z: float) -> int:
@@ -90,17 +107,17 @@ def eval_pfq(
     z_sq: float,
     target_rel_err: float = 1e-12,
     *,
-    precision: Optional[Precision] = None,
+    bits: Optional[int] = None,
     max_terms: Optional[int] = None,
 ) -> EvalResult:
-    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq) in extended precision.
+    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq) in fixed point.
 
     Terms follow the recurrence
     t_{k+1} = t_k * (-z_sq) * prod(a_i + k) / (prod(b_j + k) * (k + 1)),
-    summed at ``required_bits(sqrt(z_sq))`` unless ``precision`` overrides it.
-    Truncation requires |t_k| < target_rel_err * |sum| for three consecutive
-    terms *after* the term-magnitude peak; a single small term before the peak
-    of an alternating series proves nothing.
+    held as integers scaled by 2^bits, with ``bits = required_bits(sqrt(z_sq))``
+    unless overridden.  Truncation requires |t_k| < target_rel_err * |sum| for
+    three consecutive terms *after* the term-magnitude peak; a single small
+    term before the peak of an alternating series proves nothing.
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
     ``MAX_PRECISION_BITS`` or the term budget runs out.
@@ -110,54 +127,61 @@ def eval_pfq(
     lo, hi = _REL_ERR_RANGE
     if not (lo <= target_rel_err <= hi):
         raise ValueError(f"target_rel_err must lie in [{lo}, {hi}], got {target_rel_err}")
+    if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
+        raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
 
     z = math.sqrt(z_sq)
-    bits = precision.bits if precision is not None else required_bits(z)
+    if bits is None:
+        bits = required_bits(z)
     if bits > MAX_PRECISION_BITS:
         raise PrecisionExhaustedError(
             f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"
         )
-    prec = Precision(bits)
     cap = max_terms if max_terms is not None else default_max_terms(z)
 
-    nums = [XReal(a, prec) for a in series.numerator_params]
-    dens = [XReal(b, prec) for b in series.denominator_params]
-    neg_zsq = -XReal(z_sq, prec)
-    tol = XReal(target_rel_err, prec)
+    # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly and
+    # each term ratio is a ratio of integers: num_k / den_k below.
+    nums = [a.as_integer_ratio() for a in series.numerator_params]
+    dens = [b.as_integer_ratio() for b in series.denominator_params]
+    zp, zq = z_sq.as_integer_ratio()
+    num_scale = -zp * math.prod(q for _, q in dens)
+    den_scale = zq * math.prod(q for _, q in nums)
+    tol_p, tol_q = target_rel_err.as_integer_ratio()
 
-    term = XReal(1, prec)
-    total = XReal(1, prec)
-    prev_mag = abs(term)
-    peak_mag = prev_mag
+    one = 1 << bits
+    term = one
+    total = one
+    prev_mag = one
+    peak_mag = one
     past_peak = False
     terminated = False
     consecutive_small = 0
     terms_used = 1
-    last_mag = 0.0
+    last_mag = 0
 
     for k in range(cap):
-        num = neg_zsq
-        for a in nums:
-            num = num * (a + k)
-        den = XReal(k + 1, prec)
-        for b in dens:
-            den = den * (b + k)
-        term = term * num / den
-        mag = abs(term)
-        if mag.is_zero():
+        num = num_scale
+        for p, q in nums:
+            num *= p + k * q
+        if num == 0:
             terminated = True  # a numerator parameter hit a nonpositive integer
             break
-        total = total + term
+        den = den_scale * (k + 1)
+        for p, q in dens:
+            den *= p + k * q
+        term = term * num // den
+        mag = abs(term)
+        total += term
         terms_used = k + 2
         if mag > peak_mag:
             peak_mag = mag
         if mag < prev_mag:
             past_peak = True
         prev_mag = mag
-        if past_peak and mag < tol * abs(total):
+        if past_peak and mag * tol_q < tol_p * abs(total):
             consecutive_small += 1
             if consecutive_small >= 3:
-                last_mag = float(mag)
+                last_mag = mag
                 break
         else:
             consecutive_small = 0
@@ -167,43 +191,18 @@ def eval_pfq(
             f"(past_peak={past_peak}); raise max_terms if the argument is legitimate"
         )
 
-    value = float(total)
-    rounding = float(peak_mag * (XReal(2, prec) ** (1 - bits)) * (terms_used + 2))
+    value = total / one  # int / int: one correct rounding to double
+    rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))  # peak * 2^(1-bits) * (terms+2)
     if terminated:
         abs_err = rounding
     else:
-        abs_err = target_rel_err * abs(value) + last_mag + rounding
+        abs_err = target_rel_err * abs(value) + last_mag / one + rounding
     return EvalResult(
         value=value,
         abs_error_estimate=abs_err,
         terms_used=terms_used,
         precision_bits_used=bits,
     )
-
-
-def eval_1f2(a: float, b1: float, b2: float, z_sq: float, tol: float = 1e-12, **kwargs) -> EvalResult:
-    return eval_pfq(HypergeometricSeries((a,), (b1, b2)), z_sq, tol, **kwargs)
-
-
-def eval_2f3(
-    a1: float, a2: float, b1: float, b2: float, b3: float, z_sq: float, tol: float = 1e-12, **kwargs
-) -> EvalResult:
-    return eval_pfq(HypergeometricSeries((a1, a2), (b1, b2, b3)), z_sq, tol, **kwargs)
-
-
-def eval_3f4(
-    a1: float,
-    a2: float,
-    a3: float,
-    b1: float,
-    b2: float,
-    b3: float,
-    b4: float,
-    z_sq: float,
-    tol: float = 1e-12,
-    **kwargs,
-) -> EvalResult:
-    return eval_pfq(HypergeometricSeries((a1, a2, a3), (b1, b2, b3, b4)), z_sq, tol, **kwargs)
 
 
 def eval_pfq_float64(series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12) -> float:

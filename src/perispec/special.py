@@ -1,16 +1,14 @@
 """Gamma-family special functions in double precision.
 
 Covers exactly what the eigenvalue formulas and their asymptotic coefficients
-consume: gamma, log-gamma, reciprocal gamma (entire, exact zeros at the
-poles), digamma with a closed-form path for half-integer arguments, rising
-factorials, and the Euler-Mascheroni constant.
+consume: gamma, reciprocal gamma (entire, exact zeros at the poles), digamma
+with a closed-form path for half-integer arguments, rising factorials, and the
+Euler-Mascheroni constant.
 """
 
 from __future__ import annotations
 
 import math
-
-from .xprec import Precision, XReal
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -34,11 +32,6 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a nonpositive integer."""
 
 
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant gamma = -psi(1)."""
-    return EULER_GAMMA
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -54,15 +47,6 @@ def gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         raise GammaPoleError(f"gamma pole at x = {x}")
     return math.gamma(x)  # C library Lanczos-type kernel with reflection
-
-
-def log_gamma(x: float) -> float:
-    """ln |Gamma(x)|; raises ``GammaPoleError`` at the poles."""
-    if math.isnan(x):
-        raise ValueError("log_gamma argument is NaN")
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"gamma pole at x = {x}")
-    return math.lgamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -138,14 +122,4 @@ def pochhammer(a: float, k: int) -> float:
         result *= a + j
         if math.isinf(result):
             raise OverflowError(f"pochhammer({a}, {k}) exceeds the double range")
-    return result
-
-
-def pochhammer_x(a: float, k: int, precision: Precision) -> XReal:
-    """Rising factorial accumulated in extended precision."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"pochhammer index must be a nonnegative integer, got {k!r}")
-    result = XReal(1, precision)
-    for j in range(int(k)):
-        result = result * (XReal(a, precision) + j)
     return result

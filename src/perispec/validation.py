@@ -18,16 +18,14 @@ import numpy as np
 from . import asymptotics, tables
 from .eigenvalues import (
     MaterialParams,
-    derive,
     lambda1,
     lambda11,
     lambda2,
     navier_eigenvalues,
     transverse_series,
 )
-from .hyper import eval_pfq, eval_pfq_float64
+from .hyper import eval_pfq, eval_pfq_float64, required_bits
 from .oracle import QuadratureSpec, oracle_selftest
-from .xprec import Precision, required_bits
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,7 @@ def check_boundedness_classification() -> CheckResult:
 
     for n, beta in ((2, 1.0), (3, 2.0)):
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
-        d = derive(params)
-        limit = -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (d.a - 1.0))
+        limit = asymptotics.bounded_limit(params)
         val = lambda2(params, 1e4).value
         rel = abs(val - limit) / abs(limit)
         passed &= rel <= 0.05
@@ -228,8 +225,7 @@ def _check_panel(dim: int, beta: float, delta: float) -> Tuple[bool, str]:
     # (c) bounded below the critical exponent, monotone divergence at/above it
     if beta < dim:
         params = MaterialParams(n=dim, delta=delta, beta=beta, mu=1.0, lambda_star=2.0)
-        d = derive(params)
-        bound = 1.25 * abs(4.0 * d.a * d.b / (delta ** 2 * (d.a - 1.0)))
+        bound = 1.25 * abs(asymptotics.bounded_limit(params))
         ok_growth = bool(np.all(np.abs(l1) <= bound) and np.all(np.abs(l2) <= bound))
         kind = "bounded"
     else:
@@ -282,7 +278,7 @@ def check_cancellation_regression() -> CheckResult:
     ext = eval_pfq(series, z_sq, 1e-12)
     naive = eval_pfq_float64(series, z_sq)
     naive_gap = abs(naive - ext.value) / abs(ext.value)
-    doubled = eval_pfq(series, z_sq, 1e-12, precision=Precision(2 * required_bits(z)))
+    doubled = eval_pfq(series, z_sq, 1e-12, bits=2 * required_bits(z))
     stable_gap = abs(doubled.value - ext.value) / abs(ext.value)
     passed = naive_gap > 1e-6 and stable_gap <= 1e-12
     return _finish(

@@ -3,12 +3,15 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from perispec.cli import main
 from perispec.tables import format_cell
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -89,6 +92,26 @@ class TestEigsCommand:
             "eigs", "--dim", "3", "--beta", "2", "--points", "1", "--nu-min", "0.1", "--nu-max", "0.1"
         )
         assert "0.10000000000000001" in out
+
+
+class TestGoldenOutput:
+    # Output bytes are part of the CLI contract: these files pin them.
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("figure_dim3_beta2_delta2.csv", ("figure", "--dim", "3", "--beta", "2", "--delta", "2")),
+            (
+                "eigs_dim2_beta3_series_nu100-1000.csv",
+                ("eigs", "--dim", "2", "--beta", "3", "--policy", "series",
+                 "--nu-min", "100", "--nu-max", "1000", "--points", "20"),
+            ),
+        ],
+    )
+    def test_bytes_match_golden_file(self, tmp_path, golden, argv):
+        target = tmp_path / golden
+        code, _, err = run_cli(*argv, "--out", str(target))
+        assert code == 0, err
+        assert target.read_bytes() == (DATA / golden).read_bytes()
 
 
 @pytest.fixture(scope="module")

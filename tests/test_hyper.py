@@ -3,22 +3,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perispec.hyper import (
+    DOUBLE_BITS,
     MAX_PRECISION_BITS,
     EvalResult,
     HypergeometricSeries,
     InvalidSeriesError,
     PrecisionExhaustedError,
     default_max_terms,
-    eval_1f2,
-    eval_2f3,
-    eval_3f4,
     eval_pfq,
     eval_pfq_float64,
+    required_bits,
 )
-from perispec.special import pochhammer_x
-from perispec.xprec import Precision, XReal, required_bits
 
 
 def bruteforce_pfq(nums, dens, z_sq, dps=60, kmax=2000):
@@ -54,10 +53,15 @@ F12_AT_MINUS_1 = 0.7831299937241398
 
 class TestEvalPfqExamples:
     def test_zero_argument_is_exactly_one(self):
-        series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
-        res = eval_pfq(series, 0.0, 1e-12)
-        assert res.value == 1.0
-        assert res.terms_used == 1
+        shapes = (
+            ((0.7,), (1.3, 1.7)),
+            ((1.0, 1.5), (2.0, 3.5, 2.5)),
+            ((1.0, 2.5, 0.7), (2.0, 1.5, 2.3, 1.7)),
+        )
+        for nums, dens in shapes:
+            res = eval_pfq(HypergeometricSeries(nums, dens), 0.0, 1e-12)
+            assert res.value == 1.0
+            assert res.terms_used == 1
 
     def test_zero_numerator_truncates(self):
         # a numerator parameter 0 kills every k >= 1 term
@@ -76,20 +80,11 @@ class TestEvalPfqExamples:
         k1 = 1.0 * 1.5 / (2.0 * 3.5 * 2.5) * 0.01
         assert 1.0 - k1 < res.value < 1.0
 
-    def test_wrappers_at_zero(self):
-        assert eval_1f2(0.7, 1.3, 1.7, 0.0).value == 1.0
-        assert eval_3f4(1.0, 2.5, 0.7, 2.0, 1.5, 2.3, 1.7, 0.0).value == 1.0
-
     def test_1f2_alternating_bracket(self):
-        res = eval_1f2(1.5, 2.5, 2.5, 1.0, 1e-12)
+        res = eval_pfq(HypergeometricSeries((1.5,), (2.5, 2.5)), 1.0, 1e-12)
         assert 0.0 < res.value < 1.0
         assert res.value == pytest.approx(F12_AT_MINUS_1, rel=1e-13)
         assert res.value == pytest.approx(float(bruteforce_pfq((1.5,), (2.5, 2.5), 1.0)), rel=1e-13)
-
-    def test_2f3_wrapper_matches_generic(self):
-        got = eval_2f3(1.0, 1.5, 2.0, 3.5, 2.5, 0.25, 1e-12)
-        ref = eval_pfq(HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5)), 0.25, 1e-12)
-        assert got.value == ref.value
 
 
 class TestValidation:
@@ -125,6 +120,13 @@ class TestValidation:
         with pytest.raises(PrecisionExhaustedError):
             eval_pfq(series, 100.0, 1e-12, max_terms=5)
 
+    def test_minimum_bits(self):
+        series = HypergeometricSeries((1.0,), (2.0, 3.0))
+        assert eval_pfq(series, 1.0, 1e-12, bits=DOUBLE_BITS).precision_bits_used == DOUBLE_BITS
+        for bits in (DOUBLE_BITS - 1, 0, 100.5):
+            with pytest.raises(ValueError):
+                eval_pfq(series, 1.0, 1e-12, bits=bits)
+
     def test_precision_ceiling(self):
         series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
         z = 4e5  # required_bits(z) > MAX_PRECISION_BITS
@@ -145,7 +147,7 @@ class TestPrecisionPolicy:
             z = rng.uniform(0.0, 40.0)
             series = HypergeometricSeries(nums, dens)
             base = eval_pfq(series, z * z, 1e-12)
-            doubled = eval_pfq(series, z * z, 1e-12, precision=Precision(2 * base.precision_bits_used))
+            doubled = eval_pfq(series, z * z, 1e-12, bits=2 * base.precision_bits_used)
             assert abs(doubled.value - base.value) <= base.abs_error_estimate
 
     def test_reported_bits_follow_policy(self):
@@ -158,36 +160,61 @@ class TestPrecisionPolicy:
         assert default_max_terms(5000.0) > 16_000
 
 
-class TestRecurrenceConsistency:
-    def test_term_recurrence_vs_direct_pochhammer(self):
-        # partial sums through k = 30, recurrence vs direct rising factorials,
-        # both in 200-bit arithmetic
-        nums = (1.0, 1.5)
-        dens = (2.0, 3.5, 2.5)
-        z_sq = 9.0
-        prec = Precision(200)
-        direct = XReal(0, prec)
-        for k in range(31):
-            t = XReal(1, prec)
-            for a in nums:
-                t = t * pochhammer_x(a, k, prec)
-            for b in dens:
-                t = t / pochhammer_x(b, k, prec)
-            t = t * (-XReal(z_sq, prec)) ** k / math.factorial(k)
-            direct = direct + t
-        term = XReal(1, prec)
-        recur = XReal(1, prec)
-        for k in range(30):
-            num = -XReal(z_sq, prec)
-            for a in nums:
-                num = num * (XReal(a, prec) + k)
-            den = XReal(k + 1, prec)
-            for b in dens:
-                den = den * (XReal(b, prec) + k)
-            term = term * num / den
-            recur = recur + term
-        assert abs(float(direct - recur)) <= 1e-45 * abs(float(direct))
+class TestRequiredBits:
+    def test_zero_argument(self):
+        assert required_bits(0.0) == DOUBLE_BITS + 40
 
+    def test_grows_with_cancellation(self):
+        # ceil(60 * log2(e)) = 87 bits lost at z = 30
+        assert required_bits(30.0) == 53 + 87 + 40
+
+    def test_monotone(self):
+        zs = [0.0, 1.0, 10.0, 100.0, 1000.0]
+        bits = [required_bits(z) for z in zs]
+        assert bits == sorted(bits)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            required_bits(-1.0)
+
+
+@st.composite
+def series_shapes(draw):
+    p = draw(st.integers(min_value=1, max_value=3))
+    nums = draw(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=p, max_size=p))
+    dens = draw(st.lists(st.floats(min_value=0.5, max_value=6.0), min_size=p + 1, max_size=p + 1))
+    return HypergeometricSeries(tuple(nums), tuple(dens))
+
+
+#: Doubles nearest the first roots of the coupling series 1F2(1.5; 2, 2.5; -z^2)
+#: (n = 2, beta = 1), where the sum is ~1e-18 against terms of order 1 or more.
+COUPLING = HypergeometricSeries((1.5,), (2.0, 2.5))
+COUPLING_ROOTS = (2.942150483191762, 6.037984514005027, 43.65185023512907)
+
+
+class TestErrorBound:
+    @given(
+        series=series_shapes(),
+        z=st.floats(min_value=0.0, max_value=60.0),
+        tol=st.sampled_from([1e-15, 1e-12, 1e-8]),
+    )
+    @example(series=COUPLING, z=COUPLING_ROOTS[0], tol=1e-12)
+    @example(series=COUPLING, z=COUPLING_ROOTS[1], tol=1e-12)
+    @example(series=COUPLING, z=COUPLING_ROOTS[2], tol=1e-12)
+    @settings(max_examples=300, deadline=None)
+    def test_estimate_bounds_error_vs_mpmath(self, series, z, tol):
+        # the reported error estimate is a true bound on |value - exact|, with
+        # mpmath's own summation at twice the working precision as the exact value
+        res = eval_pfq(series, z * z, tol)
+        with mpmath.workprec(2 * res.precision_bits_used):
+            ref = mpmath.hyper(
+                [mpmath.mpf(a) for a in series.numerator_params],
+                [mpmath.mpf(b) for b in series.denominator_params],
+                -mpmath.mpf(z * z),
+            )
+            assert abs(res.value - ref) <= res.abs_error_estimate
+
+class TestRecurrenceConsistency:
     def test_entire_function_sanity(self):
         series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
         for z_sq in np.linspace(0.0, 1600.0, 9):
@@ -202,7 +229,7 @@ class TestCancellationWitness:
         ext = eval_pfq(series, z_sq, 1e-12)
         naive = eval_pfq_float64(series, z_sq)
         assert abs(naive - ext.value) / abs(ext.value) > 1e-6
-        doubled = eval_pfq(series, z_sq, 1e-12, precision=Precision(2 * ext.precision_bits_used))
+        doubled = eval_pfq(series, z_sq, 1e-12, bits=2 * ext.precision_bits_used)
         assert abs(doubled.value - ext.value) <= 1e-12 * abs(ext.value)
 
     def test_naive_agrees_at_small_argument(self):
