@@ -14,6 +14,9 @@ factors contribute O(r^2) and O(r)), so convergence stays spectral for every
 beta < n+2.  Angular integration uses the exact sphere marginals; for n = 1
 the transverse value is the dimensional continuation of the marginal weight
 (1-t^2)^((n-1)/2), which degenerates to a plain average over t in [-1, 1].
+Every rule, the Gauss-Legendre ones included (gamma = 1), is a Golub-Welsch
+rule (Math. Comp. 23, 1969) built with numpy from one symmetric eigenproblem
+and cached per (gamma, points) pair for the life of the process.
 
 This module never touches the hypergeometric series: it exists to break the
 circularity between the series evaluator and the closed-form asymptotics.
@@ -24,15 +27,20 @@ whose accuracy is certified independently, serves as ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .eigenvalues import MaterialParams, derive
+
+
+#: Distinct (g, m) Gauss rules kept per process.  A material fixes g, and each
+#: refinement level of the radial and angular grids is one m.
+RULE_CACHE_SIZE = 128
 
 
 class UnsupportedDimensionError(ValueError):
@@ -71,6 +79,8 @@ class QuadratureSpec:
             raise ValueError(f"grading_exponent must be > 0, got {self.grading_exponent}")
         if self.target_rel_err < 1e-8:
             raise ValueError(f"target_rel_err must be >= 1e-8, got {self.target_rel_err}")
+        if self.max_refinements < 1:
+            raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
 
 
 def _cosm1(x: np.ndarray) -> np.ndarray:
@@ -78,16 +88,31 @@ def _cosm1(x: np.ndarray) -> np.ndarray:
     return -2.0 * np.sin(0.5 * x) ** 2
 
 
-def _radial_rule(gamma_exp: float, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    # nodes/weights for int_0^1 x^(gamma_exp - 1) h(x) dx
-    xi, w = roots_jacobi(m, 0.0, gamma_exp - 1.0)
-    return 0.5 * (xi + 1.0), w / 2.0 ** gamma_exp
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _gauss_jacobi(g: float, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-point rule for int_0^1 x^(g-1) h(x) dx.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials with alpha = 0, beta = g-1, moved to [0, 1], and each
+    weight is the squared first eigenvector component times the mass 1/g.
+    """
+    b = g - 1.0
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + b
+    diag = np.empty(m)
+    diag[0] = g / (g + 1.0)
+    diag[1:] = 0.5 + 0.5 * b * b / (s * (s + 2.0))
+    off = k * (k + b) / (s * np.sqrt(s * s - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vecs[0] ** 2 / g
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss_legendre(m: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(m)
-    half = 0.5 * (hi - lo)
-    return lo + half * (t + 1.0), half * w
+    x, w = _gauss_jacobi(1.0, m)
+    return lo + (hi - lo) * x, (hi - lo) * w
 
 
 def _check_params(params: MaterialParams) -> None:
@@ -133,7 +158,7 @@ def _multipliers_once(
 ) -> Tuple[float, float]:
     n, beta, delta, mu = params.n, params.beta, params.delta, params.mu
     c = derive(params).c
-    x, w = _radial_rule(gamma_exp, radial_points)
+    x, w = _gauss_jacobi(gamma_exp, radial_points)
     s = nu_norm * delta * x
     longitudinal, transverse, odd = _angular_profiles(n, s, angular_points)
     # int_0^delta r^(n-1-beta) f(nu r) dr, with the x^(gamma-1) weight already in w
@@ -225,7 +250,7 @@ def multiplier_matrix(
         )
         u = np.repeat(ut, a_pts) * (2.0 * math.pi / a_pts)
 
-    x, w = _radial_rule(gamma_exp, spec.radial_points)
+    x, w = _gauss_jacobi(gamma_exp, spec.radial_points)
     r = delta * x
     dots = dirs @ nu  # (K,)
     phase = np.outer(r, dots)  # (R, K)

@@ -1,15 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import perispec
 from perispec.eigenvalues import MaterialParams, lambda1, lambda2
 from perispec.oracle import (
     QuadratureSpec,
     SingularKernelError,
     UnsupportedDimensionError,
+    _gauss_jacobi,
     multiplier_matrix,
     oracle_multipliers,
     oracle_selftest,
@@ -36,11 +42,63 @@ class TestQuadratureSpec:
             dict(angular_points=2),
             dict(grading_exponent=0.0),
             dict(target_rel_err=1e-9),
+            dict(max_refinements=0),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+RULE_EXPONENTS = [0.05, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0]
+RULE_SIZES = [16, 96, 192, 768]
+
+
+class TestGaussJacobiRule:
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    @pytest.mark.parametrize("g", RULE_EXPONENTS)
+    def test_moments(self, g, m):
+        # int_0^1 x^(g-1) x^j dx = 1/(g+j), exact for j < 2m
+        x, w = _gauss_jacobi(g, m)
+        for j in range(min(2 * m, 60)):
+            assert abs(float(np.sum(w * x ** j)) * (g + j) - 1.0) <= 1e-13, j
+
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    @pytest.mark.parametrize("g", RULE_EXPONENTS)
+    def test_nodes_match_scipy(self, g, m):
+        # nodes only: scipy's own weights lose accuracy at small g and large m
+        special = pytest.importorskip("scipy.special")
+        t, _ = special.roots_jacobi(m, 0.0, g - 1.0)
+        x, _ = _gauss_jacobi(g, m)
+        assert np.abs(x - 0.5 * (t + 1.0)).max() <= 1e-14
+
+    def test_cached_per_exponent_and_size(self):
+        assert _gauss_jacobi(2.5, 96) is _gauss_jacobi(2.5, 96)
+
+    def test_read_only(self):
+        x, w = _gauss_jacobi(1.5, 16)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[:] = 1.0
+
+    @pytest.mark.parametrize("n,beta", [(1, 0.5), (2, 1.0), (3, 3.5)])
+    def test_cold_and_warm_cache_agree(self, n, beta):
+        p = params_for(n, beta)
+        _gauss_jacobi.cache_clear()
+        cold = oracle_multipliers(p, 3.0)
+        warm = oracle_multipliers(p, 3.0)
+        assert cold == warm
+
+
+def test_runtime_modules_do_not_import_scipy():
+    src = str(Path(perispec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, perispec, perispec.cli, perispec.tables, perispec.validation\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestOracleMultipliers:
