@@ -4,7 +4,13 @@ Exact hypergeometric representations (summed with cancellation-safe
 fixed-point arithmetic), their closed-form large-wavenumber asymptotics, and an
 independent quadrature oracle derived from the operator's integral
 definition.
+
+The oracle and the validation suites are the only parts that need numpy; they
+load on first use (``perispec.oracle_multipliers``, ``perispec.oracle``,
+``perispec.validation``), so importing the series and asymptotic code does not.
 """
+
+import importlib
 
 from .asymptotics import (
     AsymptoticBranch,
@@ -41,16 +47,7 @@ from .hyper import (
     eval_pfq,
     required_bits,
 )
-from .oracle import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    SingularKernelError,
-    UnsupportedDimensionError,
-    multiplier_matrix,
-    oracle_multipliers,
-    oracle_selftest,
-)
-from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, pochhammer, reciprocal_gamma
+from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, reciprocal_gamma
 
 __version__ = "0.1.0"
 
@@ -94,7 +91,28 @@ __all__ = [
     "navier_eigenvalues",
     "oracle_multipliers",
     "oracle_selftest",
-    "pochhammer",
     "reciprocal_gamma",
     "required_bits",
 ]
+
+_ORACLE_NAMES = frozenset(
+    {
+        "QuadratureConvergenceError",
+        "QuadratureSpec",
+        "SingularKernelError",
+        "UnsupportedDimensionError",
+        "multiplier_matrix",
+        "oracle_multipliers",
+        "oracle_selftest",
+    }
+)
+
+
+def __getattr__(name):
+    # Module-level __getattr__ (PEP 562) runs only for names not yet bound here.
+    # import_module, not "from . import oracle", which would call back into it.
+    if name in _ORACLE_NAMES:
+        return getattr(importlib.import_module(".oracle", __name__), name)
+    if name in ("oracle", "validation"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

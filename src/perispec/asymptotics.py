@@ -29,9 +29,10 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .eigenvalues import MaterialParams, WaveNumber, derive
+from .eigenvalues import DerivedParams, MaterialParams, WaveNumber, derive
 from .special import EULER_GAMMA, digamma, gamma, reciprocal_gamma
 
 #: Width of the logarithmic-branch window around beta = n.
@@ -73,10 +74,13 @@ def _require_subcritical(params: MaterialParams) -> None:
 
 
 def _z_of(params: MaterialParams, nu_norm: float) -> float:
-    w = WaveNumber.of(params, nu_norm)
-    if w.z <= 0.0:
+    return _positive(WaveNumber.of(params, nu_norm).z)
+
+
+def _positive(z: float) -> float:
+    if z <= 0.0:
         raise ValueError("asymptotic forms need nu_norm > 0 (log z and negative powers)")
-    return w.z
+    return z
 
 
 def branch_for(params: MaterialParams) -> AsymptoticBranch:
@@ -98,51 +102,118 @@ def branch_for(params: MaterialParams) -> AsymptoticBranch:
 def bounded_limit(params: MaterialParams) -> float:
     """-4 mu a b / (delta^2 (a-1)): the residue at s = -1, common to lambda2
     and lambda11 on the power branch, and their large-z limit for beta < n."""
-    d = derive(params)
+    return _limit(params, derive(params))
+
+
+def _limit(params: MaterialParams, d: DerivedParams) -> float:
     return -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (d.a - 1.0))
+
+
+class AsymptoticForms:
+    """The large-z forms above for one material (beta < n+2).
+
+    Every z-independent constant (the branch, ``bounded_limit``, the
+    coefficient products and psi(b)) is computed once, by the first call that
+    needs it, so one object serves any number of wavenumbers.  A caller that
+    already holds ``derive(params)`` passes it as ``derived``.  The methods
+    take z = delta ||nu|| / 2 > 0 and evaluate each formula's floating-point
+    expression in its original order, so the doubles do not depend on
+    whether a constant was computed for this call or an earlier one.
+    """
+
+    def __init__(self, params: MaterialParams, derived: Optional[DerivedParams] = None):
+        _require_subcritical(params)
+        self.params = params
+        if derived is not None:
+            self.derived = derived
+
+    @cached_property
+    def derived(self) -> DerivedParams:
+        return derive(self.params)
+
+    @cached_property
+    def _logarithmic(self) -> bool:
+        return branch_for(self.params) is AsymptoticBranch.LOGARITHMIC
+
+    @cached_property
+    def _log_constants(self):
+        """-(4 mu a b / delta^2) and psi(b), the logarithmic branch's constants."""
+        p, d = self.params, self.derived
+        return -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
+
+    @cached_property
+    def _gammas(self):
+        d = self.derived
+        return gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (self.params.beta + 2.0))
+
+    @cached_property
+    def _bounded_limit(self) -> float:
+        return _limit(self.params, self.derived)
+
+    @cached_property
+    def _lambda2_scale(self) -> float:
+        p = self.params
+        g_b, g_a, rg = self._gammas
+        coeff = g_b * g_a * rg / (0.5 * (p.beta - p.n))
+        return coeff * (4.0 * p.mu / p.delta ** 2)
+
+    @cached_property
+    def _lambda11_scale(self) -> float:
+        p = self.params
+        g_b, g_a, rg = self._gammas
+        coeff = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
+        return coeff * (8.0 * p.mu / p.delta ** 2)
+
+    @cached_property
+    def _lambda12_scale(self) -> float:
+        p, d = self.params, self.derived
+        # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
+        coeff = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
+        return -(p.lambda_star - p.mu) * coeff * coeff * (4.0 / p.delta ** 2)
+
+    def lambda2(self, z: float) -> float:
+        z = _positive(z)
+        if self._logarithmic:
+            scale, psi = self._log_constants
+            return scale * (2.0 * math.log(z) + EULER_GAMMA - psi)
+        return self._bounded_limit - self._lambda2_scale * z ** (self.params.beta - self.params.n)
+
+    def lambda11(self, z: float) -> float:
+        z = _positive(z)
+        if self._logarithmic:
+            scale, psi = self._log_constants
+            return scale * (2.0 * math.log(z) + EULER_GAMMA + 2.0 - psi)
+        return self._bounded_limit - self._lambda11_scale * z ** (self.params.beta - self.params.n)
+
+    def lambda12(self, z: float) -> float:
+        z = _positive(z)
+        p = self.params
+        if p.lambda_star == p.mu:
+            return 0.0
+        return self._lambda12_scale * z ** (2.0 * (p.beta - (p.n + 1.0)))
+
+    def lambda1(self, z: float) -> float:
+        return self.lambda12(z) + self.lambda11(z)
 
 
 def asym_lambda2(params: MaterialParams, nu_norm: float) -> float:
     z = _z_of(params, nu_norm)
-    d = derive(params)
-    mu, delta, beta, n = params.mu, params.delta, params.beta, params.n
-    if branch_for(params) is AsymptoticBranch.LOGARITHMIC:
-        return -(4.0 * mu * d.a * d.b / delta ** 2) * (2.0 * math.log(z) + EULER_GAMMA - digamma(d.b))
-    coeff = gamma(d.b + 1.0) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * (beta + 2.0)) / (0.5 * (beta - n))
-    return bounded_limit(params) - coeff * (4.0 * mu / delta ** 2) * z ** (beta - n)
+    return AsymptoticForms(params).lambda2(z)
 
 
 def asym_lambda11(params: MaterialParams, nu_norm: float) -> float:
     z = _z_of(params, nu_norm)
-    d = derive(params)
-    mu, delta, beta, n = params.mu, params.delta, params.beta, params.n
-    if branch_for(params) is AsymptoticBranch.LOGARITHMIC:
-        return -(4.0 * mu * d.a * d.b / delta ** 2) * (2.0 * math.log(z) + EULER_GAMMA + 2.0 - digamma(d.b))
-    coeff = (
-        (n - beta - 1.0)
-        / (n - beta)
-        * gamma(d.b + 1.0)
-        * gamma(d.a + 1.0)
-        * reciprocal_gamma(0.5 * (beta + 2.0))
-    )
-    return bounded_limit(params) - coeff * (8.0 * mu / delta ** 2) * z ** (beta - n)
+    return AsymptoticForms(params).lambda11(z)
 
 
 def asym_lambda12(params: MaterialParams, nu_norm: float) -> float:
     z = _z_of(params, nu_norm)
-    _require_subcritical(params)
-    if params.lambda_star == params.mu:
-        return 0.0
-    d = derive(params)
-    # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
-    coeff = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * params.beta)
-    power = z ** (2.0 * (params.beta - (params.n + 1.0)))
-    return -(params.lambda_star - params.mu) * coeff * coeff * (4.0 / params.delta ** 2) * power
+    return AsymptoticForms(params).lambda12(z)
 
 
 def asym_lambda1(params: MaterialParams, nu_norm: float) -> float:
-    # composed exactly as the sum of the two parts, on the same floating path
-    return asym_lambda12(params, nu_norm) + asym_lambda11(params, nu_norm)
+    z = _z_of(params, nu_norm)
+    return AsymptoticForms(params).lambda1(z)
 
 
 def envelope_for(which: str, params: MaterialParams) -> ErrorEnvelope:

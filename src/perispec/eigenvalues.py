@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
-from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, eval_pfq
+from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_pfq
 from .special import gamma
 
 DEFAULT_TOL = 1e-10
@@ -132,21 +133,6 @@ def derive(params: MaterialParams) -> DerivedParams:
     return DerivedParams(a=a, b=b, c=c)
 
 
-def transverse_series(params: MaterialParams) -> HypergeometricSeries:
-    d = derive(params)
-    return HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
-
-
-def longitudinal_dyadic_series(params: MaterialParams) -> HypergeometricSeries:
-    d = derive(params)
-    return HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0))
-
-
-def coupling_series(params: MaterialParams) -> HypergeometricSeries:
-    d = derive(params)
-    return HypergeometricSeries((d.a,), (d.b, d.a + 1.0))
-
-
 def _zero_result() -> EvalResult:
     return EvalResult(value=0.0, abs_error_estimate=0.0, terms_used=1, precision_bits_used=DOUBLE_BITS)
 
@@ -160,45 +146,97 @@ def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
     )
 
 
+class _Plan:
+    """The z-independent work of one material, done once for any number of
+    wavenumbers: ``derive`` and the three series, each built on first use.
+    A series keeps its memo of term ratios, so every wavenumber evaluated
+    through one plan reuses the ratios the earlier ones computed."""
+
+    def __init__(self, params: MaterialParams):
+        self.params = params
+
+    @cached_property
+    def derived(self) -> DerivedParams:
+        return derive(self.params)
+
+    @cached_property
+    def transverse(self) -> HypergeometricSeries:
+        d = self.derived
+        return HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
+
+    @cached_property
+    def dyadic(self) -> HypergeometricSeries:
+        d = self.derived
+        return HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0))
+
+    @cached_property
+    def coupling(self) -> HypergeometricSeries:
+        d = self.derived
+        return HypergeometricSeries((d.a,), (d.b, d.a + 1.0))
+
+    def lambda2(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
+        w = WaveNumber.of(self.params, nu_norm)
+        if w.nu_norm == 0.0:
+            return _zero_result()
+        res = eval_pfq(self.transverse, w.z * w.z, tol, **kwargs)
+        return _scaled(-self.params.mu * nu_norm * nu_norm, res)
+
+    def lambda11(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
+        w = WaveNumber.of(self.params, nu_norm)
+        if w.nu_norm == 0.0:
+            return _zero_result()
+        res = eval_pfq(self.dyadic, w.z * w.z, tol, **kwargs)
+        return _scaled(-3.0 * self.params.mu * nu_norm * nu_norm, res)
+
+    def lambda12(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
+        params = self.params
+        w = WaveNumber.of(params, nu_norm)
+        if w.nu_norm == 0.0 or params.lambda_star == params.mu:
+            return _zero_result()
+        res = eval_pfq(self.coupling, w.z * w.z, tol, **kwargs)
+        prefactor = -(params.lambda_star - params.mu) * nu_norm * nu_norm
+        value = prefactor * res.value * res.value
+        err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
+        return EvalResult(
+            value=value,
+            abs_error_estimate=err,
+            terms_used=res.terms_used,
+            precision_bits_used=res.precision_bits_used,
+        )
+
+
+def transverse_series(params: MaterialParams) -> HypergeometricSeries:
+    return _Plan(params).transverse
+
+
+def longitudinal_dyadic_series(params: MaterialParams) -> HypergeometricSeries:
+    return _Plan(params).dyadic
+
+
+def coupling_series(params: MaterialParams) -> HypergeometricSeries:
+    return _Plan(params).coupling
+
+
 def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
-    w = WaveNumber.of(params, nu_norm)
-    if w.nu_norm == 0.0:
-        return _zero_result()
-    res = eval_pfq(transverse_series(params), w.z * w.z, tol, **kwargs)
-    return _scaled(-params.mu * nu_norm * nu_norm, res)
+    return _Plan(params).lambda2(nu_norm, tol, **kwargs)
 
 
 def lambda11(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Dyadic part of the longitudinal eigenvalue, -3 mu ||nu||^2 3F4(...)."""
-    w = WaveNumber.of(params, nu_norm)
-    if w.nu_norm == 0.0:
-        return _zero_result()
-    res = eval_pfq(longitudinal_dyadic_series(params), w.z * w.z, tol, **kwargs)
-    return _scaled(-3.0 * params.mu * nu_norm * nu_norm, res)
+    return _Plan(params).lambda11(nu_norm, tol, **kwargs)
 
 
 def lambda12(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Rank-one coupling part, -||nu||^2 (lambda* - mu) [1F2(...)]^2."""
-    w = WaveNumber.of(params, nu_norm)
-    if w.nu_norm == 0.0 or params.lambda_star == params.mu:
-        return _zero_result()
-    res = eval_pfq(coupling_series(params), w.z * w.z, tol, **kwargs)
-    prefactor = -(params.lambda_star - params.mu) * nu_norm * nu_norm
-    value = prefactor * res.value * res.value
-    err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
-    return EvalResult(
-        value=value,
-        abs_error_estimate=err,
-        terms_used=res.terms_used,
-        precision_bits_used=res.precision_bits_used,
-    )
+    return _Plan(params).lambda12(nu_norm, tol, **kwargs)
 
 
 def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Longitudinal eigenvalue lambda11 + lambda12 with combined error."""
-    r11 = lambda11(params, nu_norm, tol, **kwargs)
-    r12 = lambda12(params, nu_norm, tol, **kwargs)
+    plan = _Plan(params)
+    r11 = plan.lambda11(nu_norm, tol, **kwargs)
+    r12 = plan.lambda12(nu_norm, tol, **kwargs)
     return EvalResult(
         value=r11.value + r12.value,
         abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
@@ -225,7 +263,10 @@ def eval_spectrum(
     Under the hybrid policy, points with z above the switch use the
     closed-form large-z approximations for the lambda columns; the sample
     records which path was taken.  The asym1/asym2 companions are filled for
-    every nu > 0 with beta < n+2 regardless of policy.
+    every nu > 0 with beta < n+2 regardless of policy.  The material's
+    z-independent work (series, term ratios, asymptotic constants) is done
+    once for the whole grid.  ``tol`` is checked up front, even when every
+    row takes the asymptotic path.
     """
     from . import asymptotics  # deferred: asymptotics imports this module's types
 
@@ -236,16 +277,21 @@ def eval_spectrum(
         raise ValueError("grid values must be finite and >= 0")
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("grid must be sorted ascending")
+    check_target_rel_err(tol)
 
+    plan = _Plan(params)
+    forms = None  # the asymptotic constants, built at the first row that needs them
     has_asym = params.beta < params.n + 2
     samples = []
     for nu in grid:
         w = WaveNumber.of(params, nu)
         if policy.mode == "hybrid" and w.z > policy.z_switch and has_asym:
-            l11 = asymptotics.asym_lambda11(params, nu)
-            l12 = asymptotics.asym_lambda12(params, nu)
+            if forms is None:
+                forms = asymptotics.AsymptoticForms(params, plan.derived)
+            l11 = forms.lambda11(w.z)
+            l12 = forms.lambda12(w.z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
-            l2 = asymptotics.asym_lambda2(params, nu)
+            l2 = forms.lambda2(w.z)
             samples.append(
                 SpectrumSample(
                     nu_norm=nu,
@@ -260,18 +306,20 @@ def eval_spectrum(
             )
         else:
             if nu > 0.0 and has_asym:
-                asym1 = asymptotics.asym_lambda1(params, nu)
-                asym2 = asymptotics.asym_lambda2(params, nu)
+                if forms is None:
+                    forms = asymptotics.AsymptoticForms(params, plan.derived)
+                asym1 = forms.lambda1(w.z)
+                asym2 = forms.lambda2(w.z)
             else:
                 asym1 = None
                 asym2 = None
-            r11 = lambda11(params, nu, tol)
-            r12 = lambda12(params, nu, tol)
+            r11 = plan.lambda11(nu, tol)
+            r12 = plan.lambda12(nu, tol)
             samples.append(
                 SpectrumSample(
                     nu_norm=nu,
                     lambda1=r11.value + r12.value,
-                    lambda2=lambda2(params, nu, tol).value,
+                    lambda2=plan.lambda2(nu, tol).value,
                     lambda11=r11.value,
                     lambda12=r12.value,
                     asym1=asym1,

@@ -8,7 +8,13 @@ Python integers: every term is an integer scaled by 2^bits, with ``bits`` from
 dyadic rationals, so each term step is one integer multiply and one floor
 division (error below one unit of 2^-bits), the truncation test is an exact
 integer comparison, and the sum is rounded to double once at the end.  The
-result carries an explicit error estimate.  ``eval_pfq_float64`` is the
+result carries an explicit error estimate.
+
+The integer term ratios do not depend on z, so each ``HypergeometricSeries``
+object memoises them: a later evaluation of the same object, at any z, looks
+them up instead of recomputing them.  The memo is per series object, not
+process-wide; it grows to the highest term any evaluation reached and is freed
+with the object.  ``eval_pfq_float64`` is the
 deliberately naive double-precision summation kept around to demonstrate (and
 regression-test) why the fixed-point path exists.
 """
@@ -53,13 +59,24 @@ def required_bits(z: float, headroom: int = 40) -> int:
     return DOUBLE_BITS + math.ceil(2.0 * z * _LOG2_E) + headroom
 
 
+def check_target_rel_err(target_rel_err: float) -> None:
+    """Raise ``ValueError`` unless the relative tolerance lies in [1e-15, 1e-2]."""
+    lo, hi = _REL_ERR_RANGE
+    if not (lo <= target_rel_err <= hi):
+        raise ValueError(f"target_rel_err must lie in [{lo}, {hi}], got {target_rel_err}")
+
+
 def default_max_terms(z: float) -> int:
     return max(MIN_TERM_CAP, math.ceil(3.3 * z) + 200)
 
 
 @dataclass(frozen=True)
 class HypergeometricSeries:
-    """A pFq specification: numerator a_1..a_p and denominator b_1..b_q."""
+    """A pFq specification: numerator a_1..a_p and denominator b_1..b_q.
+
+    Outside its two fields, and so outside equality and hashing, the object
+    keeps the memo of z-independent term ratios that ``eval_pfq`` fills.
+    """
 
     numerator_params: tuple
     denominator_params: tuple
@@ -76,14 +93,14 @@ class HypergeometricSeries:
         for b in dens:
             if b <= 0.0 and b == math.floor(b):
                 raise InvalidSeriesError(f"denominator parameter {b} is a nonpositive integer")
-
-    @property
-    def p(self) -> int:
-        return len(self.numerator_params)
-
-    @property
-    def q(self) -> int:
-        return len(self.denominator_params)
+        # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly.
+        nums = tuple(a.as_integer_ratio() for a in nums)
+        dens = tuple(b.as_integer_ratio() for b in dens)
+        scales = (math.prod(q for _, q in dens), math.prod(q for _, q in nums))
+        object.__setattr__(self, "_integer_params", (nums, dens) + scales)
+        # Memo of the term ratios (num_k, den_k), k = 0, 1, ... (see eval_pfq).
+        # A published list is never mutated: eval_pfq replaces it.
+        object.__setattr__(self, "_ratios", [])
 
 
 @dataclass(frozen=True)
@@ -124,9 +141,7 @@ def eval_pfq(
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
-    lo, hi = _REL_ERR_RANGE
-    if not (lo <= target_rel_err <= hi):
-        raise ValueError(f"target_rel_err must lie in [{lo}, {hi}], got {target_rel_err}")
+    check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
 
@@ -139,13 +154,15 @@ def eval_pfq(
         )
     cap = max_terms if max_terms is not None else default_max_terms(z)
 
-    # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly and
-    # each term ratio is a ratio of integers: num_k / den_k below.
-    nums = [a.as_integer_ratio() for a in series.numerator_params]
-    dens = [b.as_integer_ratio() for b in series.denominator_params]
+    # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for
+    # the z-independent integers num_k = prod q_b prod(p_a + k q_a) and
+    # den_k = prod q_a (k+1) prod(p_b + k q_b).  The series memoises them:
+    # entry k is computed when a sum first reaches term k.
+    nums, dens, num_scale, den_scale = series._integer_params
+    ratios = list(series._ratios)  # extended privately, published after the sum
+    known = len(ratios)
     zp, zq = z_sq.as_integer_ratio()
-    num_scale = -zp * math.prod(q for _, q in dens)
-    den_scale = zq * math.prod(q for _, q in nums)
+    mzp = -zp
     tol_p, tol_q = target_rel_err.as_integer_ratio()
 
     one = 1 << bits
@@ -160,16 +177,21 @@ def eval_pfq(
     last_mag = 0
 
     for k in range(cap):
-        num = num_scale
-        for p, q in nums:
-            num *= p + k * q
+        if k < known:
+            num, den = ratios[k]
+        else:
+            num = num_scale
+            for p, q in nums:
+                num *= p + k * q
+            den = den_scale * (k + 1)
+            for p, q in dens:
+                den *= p + k * q
+            ratios.append((num, den))
+        num *= mzp
         if num == 0:
             terminated = True  # a numerator parameter hit a nonpositive integer
             break
-        den = den_scale * (k + 1)
-        for p, q in dens:
-            den *= p + k * q
-        term = term * num // den
+        term = term * num // (den * zq)
         mag = abs(term)
         total += term
         terms_used = k + 2
@@ -190,6 +212,8 @@ def eval_pfq(
             f"series did not converge within {cap} terms at z = {z:g} "
             f"(past_peak={past_peak}); raise max_terms if the argument is legitimate"
         )
+    if len(ratios) > len(series._ratios):
+        object.__setattr__(series, "_ratios", ratios)  # one assignment: readers see old or new list
 
     value = total / one  # int / int: one correct rounding to double
     rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))  # peak * 2^(1-bits) * (terms+2)

@@ -2,8 +2,8 @@
 
 Covers exactly what the eigenvalue formulas and their asymptotic coefficients
 consume: gamma, reciprocal gamma (entire, exact zeros at the poles), digamma
-with a closed-form path for half-integer arguments, rising factorials, and the
-Euler-Mascheroni constant.
+with a closed-form path for half-integer arguments, and the Euler-Mascheroni
+constant.
 """
 
 from __future__ import annotations
@@ -107,19 +107,3 @@ def digamma(x: float) -> float:
     for coeff in reversed(_DIGAMMA_ASYMPTOTIC):
         tail = u * (coeff + tail)
     return acc + math.log(t) - 0.5 / t + tail
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
-
-    Raises ``OverflowError`` when the product leaves the double range; series
-    code should use the term-ratio recurrence instead of large direct values.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"pochhammer index must be a nonnegative integer, got {k!r}")
-    result = 1.0
-    for j in range(int(k)):
-        result *= a + j
-        if math.isinf(result):
-            raise OverflowError(f"pochhammer({a}, {k}) exceeds the double range")
-    return result

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from . import asymptotics
 from .eigenvalues import DEFAULT_TOL, EvalPolicy, MaterialParams, SpectrumSample, eval_spectrum
 
@@ -45,11 +43,24 @@ class FigureRow:
 
 
 def wavenumber_grid(nu_min: float, nu_max: float, points: int) -> List[float]:
+    """``points`` equispaced values on [nu_min, nu_max], the same doubles as
+    ``numpy.linspace``: nu_min + i*step, with the last one exactly nu_max."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     if not (0.0 <= nu_min <= nu_max):
         raise ValueError(f"need 0 <= nu_min <= nu_max, got [{nu_min}, {nu_max}]")
-    return [float(v) for v in np.linspace(nu_min, nu_max, points)]
+    nu_min, nu_max = float(nu_min), float(nu_max)
+    span = nu_max - nu_min
+    div = points - 1
+    if div == 0:
+        return [0.0 * span + nu_min]
+    step = span / div
+    if step == 0.0:  # a span below one ulp per step: scale i/div instead, as numpy does
+        grid = [i / div * span + nu_min for i in range(points)]
+    else:
+        grid = [i * step + nu_min for i in range(points)]
+    grid[-1] = nu_max
+    return grid
 
 
 def eigs_table(

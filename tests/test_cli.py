@@ -182,6 +182,16 @@ class TestExitStatuses:
             run_cli("eigs", "--dim", "3", "--beta", "2", "--frobnicate")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "5", "nan", "-1"])
+    def test_tol_rejected_when_every_row_is_asymptotic(self, tol):
+        # z = nu/2 in [25, 30] lies past the switch, so no row reaches the series
+        code, out, err = run_cli(
+            "eigs", "--dim", "2", "--beta", "2", "--nu-min", "50", "--nu-max", "60", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "target_rel_err" in err
+
     def test_numerical_failure(self):
         # z so large the precision ceiling trips: exit 3, not a traceback
         code, _, err = run_cli(

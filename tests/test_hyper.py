@@ -1,4 +1,9 @@
 import math
+import random
+import sys
+import threading
+import time
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perispec.hyper import (
+    _REL_ERR_RANGE,
     DOUBLE_BITS,
     MAX_PRECISION_BITS,
     EvalResult,
@@ -239,3 +245,186 @@ class TestCancellationWitness:
         ext = eval_pfq(series, 0.25, 1e-12)
         naive = eval_pfq_float64(series, 0.25)
         assert naive == pytest.approx(ext.value, rel=1e-12)
+
+
+def reference_eval_pfq(
+    series: HypergeometricSeries,
+    z_sq: float,
+    target_rel_err: float = 1e-12,
+    *,
+    bits: Optional[int] = None,
+    max_terms: Optional[int] = None,
+) -> EvalResult:
+    """The fixed-point kernel as it was before term ratios were memoised.
+
+    It recomputes every ratio from the series parameters on every call, so
+    ``eval_pfq`` must return an equal ``EvalResult`` whatever its memo holds.
+    """
+    if not (z_sq >= 0.0 and math.isfinite(z_sq)):
+        raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
+    lo, hi = _REL_ERR_RANGE
+    if not (lo <= target_rel_err <= hi):
+        raise ValueError(f"target_rel_err must lie in [{lo}, {hi}], got {target_rel_err}")
+    if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
+        raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
+
+    z = math.sqrt(z_sq)
+    if bits is None:
+        bits = required_bits(z)
+    if bits > MAX_PRECISION_BITS:
+        raise PrecisionExhaustedError(
+            f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"
+        )
+    cap = max_terms if max_terms is not None else default_max_terms(z)
+
+    nums = [a.as_integer_ratio() for a in series.numerator_params]
+    dens = [b.as_integer_ratio() for b in series.denominator_params]
+    zp, zq = z_sq.as_integer_ratio()
+    num_scale = -zp * math.prod(q for _, q in dens)
+    den_scale = zq * math.prod(q for _, q in nums)
+    tol_p, tol_q = target_rel_err.as_integer_ratio()
+
+    one = 1 << bits
+    term = one
+    total = one
+    prev_mag = one
+    peak_mag = one
+    past_peak = False
+    terminated = False
+    consecutive_small = 0
+    terms_used = 1
+    last_mag = 0
+
+    for k in range(cap):
+        num = num_scale
+        for p, q in nums:
+            num *= p + k * q
+        if num == 0:
+            terminated = True
+            break
+        den = den_scale * (k + 1)
+        for p, q in dens:
+            den *= p + k * q
+        term = term * num // den
+        mag = abs(term)
+        total += term
+        terms_used = k + 2
+        if mag > peak_mag:
+            peak_mag = mag
+        if mag < prev_mag:
+            past_peak = True
+        prev_mag = mag
+        if past_peak and mag * tol_q < tol_p * abs(total):
+            consecutive_small += 1
+            if consecutive_small >= 3:
+                last_mag = mag
+                break
+        else:
+            consecutive_small = 0
+    else:
+        raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+
+    value = total / one
+    rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))
+    if terminated:
+        abs_err = rounding
+    else:
+        abs_err = target_rel_err * abs(value) + last_mag / one + rounding
+    return EvalResult(
+        value=value,
+        abs_error_estimate=abs_err,
+        terms_used=terms_used,
+        precision_bits_used=bits,
+    )
+
+
+def outcome(kernel, series, z_sq, tol, **overrides):
+    """The EvalResult, or the type of the arithmetic error the kernel raised."""
+    try:
+        return kernel(series, z_sq, tol, **overrides)
+    except ArithmeticError as exc:  # PrecisionExhaustedError, or OverflowError at tiny bits
+        return type(exc)
+
+
+@st.composite
+def memo_series(draw):
+    """Series shapes of the spectrum code, sometimes with a numerator that
+    truncates the series (a nonpositive integer)."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    nums = draw(st.lists(st.floats(min_value=-3.0, max_value=5.0), min_size=p, max_size=p))
+    if draw(st.booleans()):
+        nums[draw(st.integers(0, p - 1))] = -float(draw(st.integers(0, 6)))
+    dens = draw(st.lists(st.floats(min_value=0.25, max_value=6.0), min_size=p + 1, max_size=p + 1))
+    return HypergeometricSeries(tuple(nums), tuple(dens))
+
+
+class TestMemoisedRatios:
+    @given(
+        series=memo_series(),
+        zs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=40.0)), min_size=1, max_size=8),
+        order=st.sampled_from(["shuffled", "descending", "ascending"]),
+        tol=st.sampled_from([1e-15, 1e-12, 1e-8, 1e-2]),
+        bits_extra=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
+        max_terms=st.one_of(st.none(), st.integers(min_value=1, max_value=120)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_kernel(self, series, zs, order, tol, bits_extra, max_terms):
+        # one series object across the whole z list: its memo starts cold, is
+        # warm for a smaller z and grows mid-sum for a larger one
+        if order == "descending":
+            zs = sorted(zs, reverse=True)
+        elif order == "ascending":
+            zs = sorted(zs)
+        overrides = {}
+        if bits_extra is not None:
+            overrides["bits"] = DOUBLE_BITS + bits_extra
+        if max_terms is not None:
+            overrides["max_terms"] = max_terms
+        fresh = HypergeometricSeries(series.numerator_params, series.denominator_params)
+        for z in zs:
+            got = outcome(eval_pfq, series, z * z, tol, **overrides)
+            assert got == outcome(reference_eval_pfq, fresh, z * z, tol, **overrides)
+
+    def test_memo_stays_out_of_equality_and_hash(self):
+        used = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
+        eval_pfq(used, 400.0, 1e-12)
+        fresh = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_threads_sharing_one_series(self):
+        # Eight threads evaluate one fresh series at shuffled z, so they grow
+        # its memo concurrently; a lost or misplaced ratio changes a result.
+        shape = ((1.0, 2.5, 1.25), (2.0, 1.5, 3.5, 2.25))
+        zs = [0.75 * k for k in range(1, 41)]
+        ref = {z: reference_eval_pfq(HypergeometricSeries(*shape), z * z, 1e-12) for z in zs}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 3 or time.monotonic() < deadline:
+                series = HypergeometricSeries(*shape)
+                barrier = threading.Barrier(8)
+                results = [[] for _ in range(8)]
+
+                def work(i, series=series, barrier=barrier, results=results, seed=rounds):
+                    order = list(zs)
+                    random.Random(8 * seed + i).shuffle(order)
+                    barrier.wait(timeout=30)
+                    results[i] = [(z, eval_pfq(series, z * z, 1e-12)) for z in order]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for got in results:
+                    assert len(got) == len(zs)
+                    for z, res in got:
+                        assert res == ref[z], z
+                rounds += 1
+        finally:
+            sys.setswitchinterval(old_interval)

@@ -101,6 +101,21 @@ def test_runtime_modules_do_not_import_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
+def test_series_modules_do_not_import_numpy():
+    # numpy loads with the oracle or the validation suites, on first use
+    src = str(Path(perispec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, perispec, perispec.cli, perispec.tables\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
+        "from perispec.oracle import oracle_multipliers\n"
+        "assert perispec.oracle_multipliers is oracle_multipliers\n"
+        "assert perispec.QuadratureSpec is perispec.oracle.QuadratureSpec\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 class TestOracleMultipliers:
     def test_zero_wavenumber(self):
         assert oracle_multipliers(params_for(2, 1.0), 0.0) == (0.0, 0.0)

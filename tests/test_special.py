@@ -3,15 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from perispec.special import (
     EULER_GAMMA,
     GammaPoleError,
     digamma,
     gamma,
-    pochhammer,
     reciprocal_gamma,
 )
 
@@ -108,27 +105,6 @@ class TestDigamma:
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
             digamma(x)
-
-
-class TestPochhammer:
-    @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
-    def test_empty_product(self, a):
-        assert pochhammer(a, 0) == 1.0
-
-    def test_zero_base(self):
-        assert pochhammer(0.0, 3) == 0.0
-
-    def test_hand_value(self):
-        assert pochhammer(1.5, 3) == pytest.approx(1.5 * 2.5 * 3.5, rel=0)
-        assert pochhammer(1.5, 3) == 13.125
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            pochhammer(300.0, 200)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestEulerGamma:
