@@ -5,9 +5,9 @@ fixed-point arithmetic), their closed-form large-wavenumber asymptotics, and an
 independent quadrature oracle derived from the operator's integral
 definition.
 
-The oracle and the validation suites are the only parts that need numpy; they
-load on first use (``perispec.oracle_multipliers``, ``perispec.oracle``,
-``perispec.validation``), so importing the series and asymptotic code does not.
+The oracle and the validation suites are the only modules that load numpy.
+The oracle's names here (``perispec.oracle_multipliers``, ``perispec.oracle``,
+...) import it on first use, so importing the package does not load numpy.
 """
 
 import importlib
@@ -113,6 +113,6 @@ def __getattr__(name):
     # import_module, not "from . import oracle", which would call back into it.
     if name in _ORACLE_NAMES:
         return getattr(importlib.import_module(".oracle", __name__), name)
-    if name in ("oracle", "validation"):
-        return importlib.import_module(f".{name}", __name__)
+    if name == "oracle":
+        return importlib.import_module(".oracle", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -142,27 +142,13 @@ class AsymptoticForms:
         return -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
 
     @cached_property
-    def _gammas(self):
-        d = self.derived
-        return gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (self.params.beta + 2.0))
-
-    @cached_property
-    def _bounded_limit(self) -> float:
-        return _limit(self.params, self.derived)
-
-    @cached_property
-    def _lambda2_scale(self) -> float:
-        p = self.params
-        g_b, g_a, rg = self._gammas
-        coeff = g_b * g_a * rg / (0.5 * (p.beta - p.n))
-        return coeff * (4.0 * p.mu / p.delta ** 2)
-
-    @cached_property
-    def _lambda11_scale(self) -> float:
-        p = self.params
-        g_b, g_a, rg = self._gammas
-        coeff = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
-        return coeff * (8.0 * p.mu / p.delta ** 2)
+    def _power_constants(self):
+        """bounded_limit and coeff * (prefactor / delta^2) of lambda2 and lambda11."""
+        p, d = self.params, self.derived
+        g_b, g_a, rg = gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
+        coeff2 = g_b * g_a * rg / (0.5 * (p.beta - p.n))
+        coeff11 = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
+        return _limit(p, d), coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
 
     @cached_property
     def _lambda12_scale(self) -> float:
@@ -176,14 +162,16 @@ class AsymptoticForms:
         if self._logarithmic:
             scale, psi = self._log_constants
             return scale * (2.0 * math.log(z) + EULER_GAMMA - psi)
-        return self._bounded_limit - self._lambda2_scale * z ** (self.params.beta - self.params.n)
+        limit, scale, _ = self._power_constants
+        return limit - scale * z ** (self.params.beta - self.params.n)
 
     def lambda11(self, z: float) -> float:
         z = _positive(z)
         if self._logarithmic:
             scale, psi = self._log_constants
             return scale * (2.0 * math.log(z) + EULER_GAMMA + 2.0 - psi)
-        return self._bounded_limit - self._lambda11_scale * z ** (self.params.beta - self.params.n)
+        limit, _, scale = self._power_constants
+        return limit - scale * z ** (self.params.beta - self.params.n)
 
     def lambda12(self, z: float) -> float:
         z = _positive(z)
