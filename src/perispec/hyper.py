@@ -98,8 +98,8 @@ class HypergeometricSeries:
         dens = tuple(b.as_integer_ratio() for b in dens)
         scales = (math.prod(q for _, q in dens), math.prod(q for _, q in nums))
         object.__setattr__(self, "_integer_params", (nums, dens) + scales)
-        # Memo of the term ratios (num_k, den_k), k = 0, 1, ... (see eval_pfq).
-        # A published list is never mutated: eval_pfq replaces it.
+        # Memo of the term ratios, flat: num_0, den_0, num_1, den_1, ... (see
+        # eval_pfq).  A published list is never mutated: eval_pfq replaces it.
         object.__setattr__(self, "_ratios", [])
 
 
@@ -159,8 +159,8 @@ def eval_pfq(
     # den_k = prod q_a (k+1) prod(p_b + k q_b).  The series memoises them:
     # entry k is computed when a sum first reaches term k.
     nums, dens, num_scale, den_scale = series._integer_params
-    ratios = list(series._ratios)  # extended privately, published after the sum
-    known = len(ratios)
+    memo = list(series._ratios)  # extended privately, published after the sum
+    known = len(memo) // 2
     zp, zq = z_sq.as_integer_ratio()
     mzp = -zp
     tol_p, tol_q = target_rel_err.as_integer_ratio()
@@ -173,12 +173,12 @@ def eval_pfq(
     past_peak = False
     terminated = False
     consecutive_small = 0
-    terms_used = 1
     last_mag = 0
 
     for k in range(cap):
         if k < known:
-            num, den = ratios[k]
+            num = memo[2 * k]
+            den = memo[2 * k + 1]
         else:
             num = num_scale
             for p, q in nums:
@@ -186,7 +186,8 @@ def eval_pfq(
             den = den_scale * (k + 1)
             for p, q in dens:
                 den *= p + k * q
-            ratios.append((num, den))
+            memo.append(num)
+            memo.append(den)
         num *= mzp
         if num == 0:
             terminated = True  # a numerator parameter hit a nonpositive integer
@@ -194,13 +195,14 @@ def eval_pfq(
         term = term * num // (den * zq)
         mag = abs(term)
         total += term
-        terms_used = k + 2
-        if mag > peak_mag:
-            peak_mag = mag
-        if mag < prev_mag:
+        if not past_peak:
+            if mag >= prev_mag:  # still rising: no truncation test can pass yet
+                peak_mag = prev_mag = mag
+                continue
             past_peak = True
-        prev_mag = mag
-        if past_peak and mag * tol_q < tol_p * abs(total):
+        elif mag > peak_mag:
+            peak_mag = mag
+        if mag * tol_q < tol_p * abs(total):
             consecutive_small += 1
             if consecutive_small >= 3:
                 last_mag = mag
@@ -212,8 +214,9 @@ def eval_pfq(
             f"series did not converge within {cap} terms at z = {z:g} "
             f"(past_peak={past_peak}); raise max_terms if the argument is legitimate"
         )
-    if len(ratios) > len(series._ratios):
-        object.__setattr__(series, "_ratios", ratios)  # one assignment: readers see old or new list
+    if len(memo) > len(series._ratios):
+        object.__setattr__(series, "_ratios", memo)  # one assignment: readers see old or new list
+    terms_used = k + 1 if terminated else k + 2
 
     value = total / one  # int / int: one correct rounding to double
     rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))  # peak * 2^(1-bits) * (terms+2)

@@ -402,7 +402,7 @@ class TestMemoisedRatios:
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            deadline = time.monotonic() + 2.0
+            deadline = time.monotonic() + 1.0
             rounds = 0
             while rounds < 3 or time.monotonic() < deadline:
                 series = HypergeometricSeries(*shape)
