@@ -148,9 +148,10 @@ def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
 
 class _Plan:
     """The z-independent work of one material, done once for any number of
-    wavenumbers: ``derive`` and the three series, each built on first use.
-    A series keeps its memo of term ratios, so every wavenumber evaluated
-    through one plan reuses the ratios the earlier ones computed."""
+    wavenumbers: ``derive``, the three series and the asymptotic constants,
+    each built on first use.  A series keeps its memo of term ratios, so every
+    wavenumber evaluated through one plan reuses the ratios the earlier ones
+    computed."""
 
     def __init__(self, params: MaterialParams):
         self.params = params
@@ -173,6 +174,12 @@ class _Plan:
     def coupling(self) -> HypergeometricSeries:
         d = self.derived
         return HypergeometricSeries((d.a,), (d.b, d.a + 1.0))
+
+    @cached_property
+    def forms(self):
+        from . import asymptotics  # deferred: asymptotics imports this module's types
+
+        return asymptotics.AsymptoticForms(self.params, self.derived)
 
     def lambda2(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
         w = WaveNumber.of(self.params, nu_norm)
@@ -268,8 +275,6 @@ def eval_spectrum(
     once for the whole grid.  ``tol`` is checked up front, even when every
     row takes the asymptotic path.
     """
-    from . import asymptotics  # deferred: asymptotics imports this module's types
-
     if policy is None:
         policy = EvalPolicy.hybrid()
     grid = [float(nu) for nu in grid]
@@ -280,18 +285,15 @@ def eval_spectrum(
     check_target_rel_err(tol)
 
     plan = _Plan(params)
-    forms = None  # the asymptotic constants, built at the first row that needs them
     has_asym = params.beta < params.n + 2
     samples = []
     for nu in grid:
         w = WaveNumber.of(params, nu)
         if policy.mode == "hybrid" and w.z > policy.z_switch and has_asym:
-            if forms is None:
-                forms = asymptotics.AsymptoticForms(params, plan.derived)
-            l11 = forms.lambda11(w.z)
-            l12 = forms.lambda12(w.z)
+            l11 = plan.forms.lambda11(w.z)
+            l12 = plan.forms.lambda12(w.z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
-            l2 = forms.lambda2(w.z)
+            l2 = plan.forms.lambda2(w.z)
             samples.append(
                 SpectrumSample(
                     nu_norm=nu,
@@ -306,10 +308,8 @@ def eval_spectrum(
             )
         else:
             if nu > 0.0 and has_asym:
-                if forms is None:
-                    forms = asymptotics.AsymptoticForms(params, plan.derived)
-                asym1 = forms.lambda1(w.z)
-                asym2 = forms.lambda2(w.z)
+                asym1 = plan.forms.lambda1(w.z)
+                asym2 = plan.forms.lambda2(w.z)
             else:
                 asym1 = None
                 asym2 = None

@@ -53,7 +53,7 @@ def wavenumber_grid(nu_min: float, nu_max: float, points: int) -> List[float]:
     span = nu_max - nu_min
     div = points - 1
     if div == 0:
-        return [0.0 * span + nu_min]
+        return [0.0 * span + nu_min]  # numpy's arithmetic: -0.0 comes out as 0.0
     step = span / div
     if step == 0.0:  # a span below one ulp per step: scale i/div instead, as numpy does
         grid = [i / div * span + nu_min for i in range(points)]
