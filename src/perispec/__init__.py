@@ -26,12 +26,8 @@ from .asymptotics import (
     error_envelope,
 )
 from .eigenvalues import (
-    DerivedParams,
     EvalPolicy,
-    MaterialParams,
     SpectrumSample,
-    WaveNumber,
-    derive,
     eval_spectrum,
     lambda1,
     lambda11,
@@ -47,6 +43,7 @@ from .hyper import (
     eval_pfq,
     required_bits,
 )
+from .material import DerivedParams, MaterialParams, WaveNumber, derive
 from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, reciprocal_gamma
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ power branch subtracts two nearly identical huge terms, so the logarithmic
 branch is used instead.
 
 The discarded oscillatory terms give the error envelopes: absolute error
-~ C * z^(-(n+3)/2) for lambda2 and ~ C * z^(-(n+1)/2) for lambda1 (dominated
-by its dyadic part), which is what the envelope-slope validations fit.
+~ C * z^(-(n+3)/2) for lambda2 and ~ C * z^(-(n+1)/2) for lambda11 (the
+dyadic part of lambda1), which is what the envelope-slope validation fits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .eigenvalues import DerivedParams, MaterialParams, WaveNumber, derive
+from .material import DerivedParams, MaterialParams, WaveNumber, derive
 from .special import EULER_GAMMA, digamma, gamma, reciprocal_gamma
 
 #: Width of the logarithmic-branch window around beta = n.
@@ -55,7 +55,6 @@ class ErrorEnvelope:
     """Decay law of the neglected oscillatory terms for one eigenvalue."""
 
     decay_exponent: float
-    prefactor_note: str
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,13 @@ class AsymptoticForms:
         return derive(self.params)
 
     @cached_property
+    def branch(self) -> str:
+        """The ``AsymptoticBranch`` value these forms use."""
+        return branch_for(self.params).value
+
+    @cached_property
     def _logarithmic(self) -> bool:
-        return branch_for(self.params) is AsymptoticBranch.LOGARITHMIC
+        return self.branch == AsymptoticBranch.LOGARITHMIC.value
 
     @cached_property
     def _log_constants(self):
@@ -205,7 +209,7 @@ def asym_lambda1(params: MaterialParams, nu_norm: float) -> float:
 
 
 def envelope_for(which: str, params: MaterialParams) -> ErrorEnvelope:
-    """Decay law of |exact - asymptotic| for 'lambda1' or 'lambda2'.
+    """Decay law of |exact - asymptotic| for 'lambda2' or 'lambda11'.
 
     The oscillatory terms of the underlying series decay like
     |z|^(-(n+7)/2) (transverse) and |z|^(-(n+5)/2) (longitudinal dyadic);
@@ -213,16 +217,10 @@ def envelope_for(which: str, params: MaterialParams) -> ErrorEnvelope:
     """
     n = params.n
     if which == "lambda2":
-        return ErrorEnvelope(
-            decay_exponent=-(n + 3.0) / 2.0,
-            prefactor_note="leading oscillatory coefficient of the transverse 2F3, c0 = 1 only",
-        )
-    if which == "lambda1":
-        return ErrorEnvelope(
-            decay_exponent=-(n + 1.0) / 2.0,
-            prefactor_note="leading oscillatory coefficient of the dyadic 3F4, c0 = 1 only",
-        )
-    raise ValueError(f"which must be 'lambda1' or 'lambda2', got {which!r}")
+        return ErrorEnvelope(decay_exponent=-(n + 3.0) / 2.0)
+    if which == "lambda11":
+        return ErrorEnvelope(decay_exponent=-(n + 1.0) / 2.0)
+    raise ValueError(f"which must be 'lambda2' or 'lambda11', got {which!r}")
 
 
 def error_envelope(which: str, params: MaterialParams, nu_norm: float) -> float:
@@ -230,14 +228,14 @@ def error_envelope(which: str, params: MaterialParams, nu_norm: float) -> float:
 
     The prefactor collapses to 4 mu a Gamma(b+1) / (delta^2 sqrt(pi)) for
     lambda2 (assembled from (2 pi)^(-1/2) 2^(b+3) (2z)^(-(n+7)/2) times the
-    series prefactor mu ||nu||^2 a Gamma(b+1)) and twice that for lambda1.
+    series prefactor mu ||nu||^2 a Gamma(b+1)) and twice that for lambda11.
     Used to gate regression fits, not as a hard bound.
     """
     z = _z_of(params, nu_norm)
     env = envelope_for(which, params)
     d = derive(params)
     base = 4.0 * params.mu * d.a * gamma(d.b + 1.0) / (params.delta ** 2 * _SQRT_PI)
-    if which == "lambda1":
+    if which == "lambda11":
         base *= 2.0
     return base * z ** env.decay_exponent
 

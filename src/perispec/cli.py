@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import tables
-from .eigenvalues import EvalPolicy, MaterialParams
+from .eigenvalues import EvalPolicy, MaterialParams, eval_spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -66,7 +66,8 @@ def _render_csv(columns, dict_rows: List[dict]) -> str:
 def cmd_eigs(args) -> int:
     params = _material(args)
     policy = EvalPolicy(mode=args.policy, z_switch=args.z_switch)
-    samples = tables.eigs_table(params, args.nu_min, args.nu_max, args.points, policy, args.tol)
+    grid = tables.wavenumber_grid(args.nu_min, args.nu_max, args.points)
+    samples = eval_spectrum(params, grid, policy, args.tol)
     _emit(tables.EIGS_COLUMNS, _rows_to_dicts(tables.EIGS_COLUMNS, samples), args.format, args.out)
     return EXIT_OK
 

@@ -17,68 +17,16 @@ to those of the classical Navier operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
 
+from .asymptotics import AsymptoticForms
 from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_pfq
-from .special import gamma
+from .material import DerivedParams, MaterialParams, WaveNumber, derive  # re-exported
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
-
-
-@dataclass(frozen=True)
-class MaterialParams:
-    """Physical and nonlocal parameters defining the operator.
-
-    n: spatial dimension, delta: interaction horizon, beta: kernel exponent
-    (kernel integrable for beta < n, singular for n <= beta < n+2), mu and
-    lambda_star: the Lame parameters.  lambda_star may be negative; physical
-    admissibility is the caller's concern.
-    """
-
-    n: int
-    delta: float
-    beta: float
-    mu: float
-    lambda_star: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"horizon delta must be finite and > 0, got {self.delta}")
-        if not (math.isfinite(self.beta) and self.beta <= self.n + 2):
-            raise ValueError(f"kernel exponent beta must satisfy beta <= n+2, got {self.beta}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"shear modulus mu must be finite and > 0, got {self.mu}")
-        if not math.isfinite(self.lambda_star):
-            raise ValueError(f"lambda_star must be finite, got {self.lambda_star}")
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Shorthand quantities a, b and the kernel scaling constant c."""
-
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
-class WaveNumber:
-    """A wavenumber magnitude with its dimensionless companion z."""
-
-    nu_norm: float
-    z: float
-
-    @classmethod
-    def of(cls, params: MaterialParams, nu_norm: float) -> "WaveNumber":
-        if not (nu_norm >= 0 and math.isfinite(nu_norm)):
-            raise ValueError(f"nu_norm must be finite and >= 0, got {nu_norm}")
-        return cls(nu_norm=nu_norm, z=0.5 * params.delta * nu_norm)
 
 
 @dataclass(frozen=True)
@@ -116,21 +64,15 @@ class SpectrumSample:
     asym1: Optional[float]
     asym2: Optional[float]
     method: str  # which path produced the lambda columns: "series" | "asymptotic"
+    branch: str  # the asymptotic branch behind asym1/asym2, "" where they are absent
 
+    @property
+    def abs_err1(self) -> Optional[float]:
+        return None if self.asym1 is None else abs(self.lambda1 - self.asym1)
 
-def derive(params: MaterialParams) -> DerivedParams:
-    """a = (n+2-beta)/2, b = (n+2)/2, and the scaling constant
-
-    c = 2 (n+2-beta) Gamma(n/2+1) / (pi^(n/2) delta^(n+2-beta)),
-
-    chosen so the operator converges to the Navier operator as delta -> 0 or
-    beta -> n+2.  c vanishes exactly at beta = n+2.
-    """
-    n, beta, delta = params.n, params.beta, params.delta
-    a = 0.5 * (n + 2 - beta)
-    b = 0.5 * (n + 2)
-    c = 2.0 * (n + 2 - beta) * gamma(0.5 * n + 1.0) / (math.pi ** (0.5 * n) * delta ** (n + 2 - beta))
-    return DerivedParams(a=a, b=b, c=c)
+    @property
+    def abs_err2(self) -> Optional[float]:
+        return None if self.asym2 is None else abs(self.lambda2 - self.asym2)
 
 
 def _zero_result() -> EvalResult:
@@ -176,32 +118,27 @@ class _Plan:
         return HypergeometricSeries((d.a,), (d.b, d.a + 1.0))
 
     @cached_property
-    def forms(self):
-        from . import asymptotics  # deferred: asymptotics imports this module's types
+    def forms(self) -> AsymptoticForms:
+        return AsymptoticForms(self.params, self.derived)
 
-        return asymptotics.AsymptoticForms(self.params, self.derived)
-
-    def lambda2(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
-        w = WaveNumber.of(self.params, nu_norm)
+    def lambda2(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
         if w.nu_norm == 0.0:
             return _zero_result()
         res = eval_pfq(self.transverse, w.z * w.z, tol, **kwargs)
-        return _scaled(-self.params.mu * nu_norm * nu_norm, res)
+        return _scaled(-self.params.mu * w.nu_norm * w.nu_norm, res)
 
-    def lambda11(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
-        w = WaveNumber.of(self.params, nu_norm)
+    def lambda11(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
         if w.nu_norm == 0.0:
             return _zero_result()
         res = eval_pfq(self.dyadic, w.z * w.z, tol, **kwargs)
-        return _scaled(-3.0 * self.params.mu * nu_norm * nu_norm, res)
+        return _scaled(-3.0 * self.params.mu * w.nu_norm * w.nu_norm, res)
 
-    def lambda12(self, nu_norm: float, tol: float, **kwargs) -> EvalResult:
+    def lambda12(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
         params = self.params
-        w = WaveNumber.of(params, nu_norm)
         if w.nu_norm == 0.0 or params.lambda_star == params.mu:
             return _zero_result()
         res = eval_pfq(self.coupling, w.z * w.z, tol, **kwargs)
-        prefactor = -(params.lambda_star - params.mu) * nu_norm * nu_norm
+        prefactor = -(params.lambda_star - params.mu) * w.nu_norm * w.nu_norm
         value = prefactor * res.value * res.value
         err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
         return EvalResult(
@@ -216,34 +153,27 @@ def transverse_series(params: MaterialParams) -> HypergeometricSeries:
     return _Plan(params).transverse
 
 
-def longitudinal_dyadic_series(params: MaterialParams) -> HypergeometricSeries:
-    return _Plan(params).dyadic
-
-
-def coupling_series(params: MaterialParams) -> HypergeometricSeries:
-    return _Plan(params).coupling
-
-
 def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
-    return _Plan(params).lambda2(nu_norm, tol, **kwargs)
+    return _Plan(params).lambda2(WaveNumber.of(params, nu_norm), tol, **kwargs)
 
 
 def lambda11(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Dyadic part of the longitudinal eigenvalue, -3 mu ||nu||^2 3F4(...)."""
-    return _Plan(params).lambda11(nu_norm, tol, **kwargs)
+    return _Plan(params).lambda11(WaveNumber.of(params, nu_norm), tol, **kwargs)
 
 
 def lambda12(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Rank-one coupling part, -||nu||^2 (lambda* - mu) [1F2(...)]^2."""
-    return _Plan(params).lambda12(nu_norm, tol, **kwargs)
+    return _Plan(params).lambda12(WaveNumber.of(params, nu_norm), tol, **kwargs)
 
 
 def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Longitudinal eigenvalue lambda11 + lambda12 with combined error."""
     plan = _Plan(params)
-    r11 = plan.lambda11(nu_norm, tol, **kwargs)
-    r12 = plan.lambda12(nu_norm, tol, **kwargs)
+    w = WaveNumber.of(params, nu_norm)
+    r11 = plan.lambda11(w, tol, **kwargs)
+    r12 = plan.lambda12(w, tol, **kwargs)
     return EvalResult(
         value=r11.value + r12.value,
         abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
@@ -265,7 +195,8 @@ def eval_spectrum(
     policy: Optional[EvalPolicy] = None,
     tol: float = DEFAULT_TOL,
 ) -> List[SpectrumSample]:
-    """Evaluate the spectrum over a sorted nonnegative wavenumber grid.
+    """Evaluate the spectrum at each nonnegative wavenumber of ``grid``, in
+    the caller's order.
 
     Under the hybrid policy, points with z above the switch use the
     closed-form large-z approximations for the lambda columns; the sample
@@ -277,26 +208,22 @@ def eval_spectrum(
     """
     if policy is None:
         policy = EvalPolicy.hybrid()
-    grid = [float(nu) for nu in grid]
-    if any(nu < 0 or not math.isfinite(nu) for nu in grid):
-        raise ValueError("grid values must be finite and >= 0")
-    if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
-        raise ValueError("grid must be sorted ascending")
+    waves = [WaveNumber.of(params, float(nu)) for nu in grid]
     check_target_rel_err(tol)
 
     plan = _Plan(params)
-    has_asym = params.beta < params.n + 2
+    forms = plan.forms if params.beta < params.n + 2 else None
+    hybrid = policy.mode == "hybrid" and forms is not None
     samples = []
-    for nu in grid:
-        w = WaveNumber.of(params, nu)
-        if policy.mode == "hybrid" and w.z > policy.z_switch and has_asym:
-            l11 = plan.forms.lambda11(w.z)
-            l12 = plan.forms.lambda12(w.z)
+    for w in waves:
+        if hybrid and w.z > policy.z_switch:
+            l11 = forms.lambda11(w.z)
+            l12 = forms.lambda12(w.z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
-            l2 = plan.forms.lambda2(w.z)
+            l2 = forms.lambda2(w.z)
             samples.append(
                 SpectrumSample(
-                    nu_norm=nu,
+                    nu_norm=w.nu_norm,
                     lambda1=l1,
                     lambda2=l2,
                     lambda11=l11,
@@ -304,27 +231,31 @@ def eval_spectrum(
                     asym1=l1,
                     asym2=l2,
                     method="asymptotic",
+                    branch=forms.branch,
                 )
             )
         else:
-            if nu > 0.0 and has_asym:
-                asym1 = plan.forms.lambda1(w.z)
-                asym2 = plan.forms.lambda2(w.z)
+            if w.nu_norm > 0.0 and forms is not None:
+                asym1 = forms.lambda1(w.z)
+                asym2 = forms.lambda2(w.z)
+                branch = forms.branch
             else:
                 asym1 = None
                 asym2 = None
-            r11 = plan.lambda11(nu, tol)
-            r12 = plan.lambda12(nu, tol)
+                branch = ""
+            r11 = plan.lambda11(w, tol)
+            r12 = plan.lambda12(w, tol)
             samples.append(
                 SpectrumSample(
-                    nu_norm=nu,
+                    nu_norm=w.nu_norm,
                     lambda1=r11.value + r12.value,
-                    lambda2=plan.lambda2(nu, tol).value,
+                    lambda2=plan.lambda2(w, tol).value,
                     lambda11=r11.value,
                     lambda12=r12.value,
                     asym1=asym1,
                     asym2=asym2,
                     method="series",
+                    branch=branch,
                 )
             )
     return samples

@@ -18,7 +18,8 @@ Every rule, the Gauss-Legendre ones included (gamma = 1), is a Golub-Welsch
 rule (Math. Comp. 23, 1969) built with numpy from one symmetric eigenproblem
 and cached per (gamma, points) pair for the life of the process.
 
-This module never touches the hypergeometric series: it exists to break the
+The quadrature never touches the hypergeometric series (only
+``oracle_selftest`` calls it, to compare the two): it exists to break the
 circularity between the series evaluator and the closed-form asymptotics.
 It is meant for moderate wavenumbers (z up to ~50); beyond that the
 integrand oscillation makes quadrature cost grow with z while the series,
@@ -35,7 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigenvalues import MaterialParams, derive
+from .eigenvalues import lambda1, lambda2
+from .material import MaterialParams, derive
 
 
 #: Distinct (g, m) Gauss rules kept per process.  A material fixes g, and each
@@ -59,14 +61,12 @@ class QuadratureConvergenceError(ArithmeticError):
 class QuadratureSpec:
     """Grid sizes and accuracy target for the quadrature oracle.
 
-    grading_exponent sets the Gauss-Jacobi origin weight x^(grading_exponent-1)
-    on the unit radial interval; the default n+2-beta matches the kernel
-    singularity exactly.
+    The radial rule's Gauss-Jacobi origin weight x^(n+1-beta) on the unit
+    interval matches the kernel singularity exactly.
     """
 
     radial_points: int = 96
     angular_points: int = 64
-    grading_exponent: Optional[float] = None
     target_rel_err: float = 1e-7
     max_refinements: int = 3
 
@@ -75,8 +75,6 @@ class QuadratureSpec:
             raise ValueError(f"radial_points must be >= 16, got {self.radial_points}")
         if self.angular_points < 4:
             raise ValueError(f"angular_points must be >= 4, got {self.angular_points}")
-        if self.grading_exponent is not None and not self.grading_exponent > 0:
-            raise ValueError(f"grading_exponent must be > 0, got {self.grading_exponent}")
         if self.target_rel_err < 1e-8:
             raise ValueError(f"target_rel_err must be >= 1e-8, got {self.target_rel_err}")
         if self.max_refinements < 1:
@@ -189,7 +187,7 @@ def oracle_multipliers(
         return (0.0, 0.0)
     if spec is None:
         spec = QuadratureSpec()
-    gamma_exp = spec.grading_exponent if spec.grading_exponent is not None else params.n + 2.0 - params.beta
+    gamma_exp = params.n + 2.0 - params.beta
 
     prev = _multipliers_once(params, nu_norm, gamma_exp, spec.radial_points, spec.angular_points)
     for level in range(1, spec.max_refinements + 1):
@@ -226,7 +224,7 @@ def multiplier_matrix(
     if nu.shape != (n,):
         raise ValueError(f"nu_vec must have shape ({n},), got {nu.shape}")
     c = derive(params).c
-    gamma_exp = spec.grading_exponent if spec.grading_exponent is not None else n + 2.0 - beta
+    gamma_exp = n + 2.0 - beta
 
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -319,8 +317,6 @@ def oracle_selftest(
     within 10x the quadrature accuracy target.  Lattice points with
     beta >= n+2 are reported as unsupported rather than silently skipped.
     """
-    from . import eigenvalues  # series route, deliberately not used elsewhere here
-
     if spec is None:
         spec = QuadratureSpec()
     if lattice is None:
@@ -336,8 +332,8 @@ def oracle_selftest(
             )
             continue
         params = MaterialParams(n=n, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
-        s1 = eigenvalues.lambda1(params, nu, tol).value
-        s2 = eigenvalues.lambda2(params, nu, tol).value
+        s1 = lambda1(params, nu, tol).value
+        s2 = lambda2(params, nu, tol).value
         q1, q2 = oracle_multipliers(params, nu, spec)
         rel = max(
             abs(s1 - q1) / max(abs(s1), 1e-8),

@@ -2,8 +2,7 @@
 
 Covers exactly what the eigenvalue formulas and their asymptotic coefficients
 consume: gamma, reciprocal gamma (entire, exact zeros at the poles), digamma
-with a closed-form path for half-integer arguments, and the Euler-Mascheroni
-constant.
+at integer and half-integer arguments, and the Euler-Mascheroni constant.
 """
 
 from __future__ import annotations
@@ -13,19 +12,6 @@ import math
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _LN2 = math.log(2.0)
-
-# psi(x) ~ ln x - 1/(2x) - sum B_2k/(2k x^2k); coefficients of u = x^-2
-_DIGAMMA_ASYMPTOTIC = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-
-_DIGAMMA_SHIFT = 8.0
 
 
 class GammaPoleError(ValueError):
@@ -81,29 +67,18 @@ def _sin_pi(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Digamma psi(x) for x > 0.
+    """Digamma psi(x) for an integer or half-integer x > 0.
 
-    Half-integer and integer arguments (the only ones the asymptotic formulas
-    need) take the exact closed-form path psi(1) = -gamma,
-    psi(1/2) = -gamma - 2 ln 2, psi(x+1) = psi(x) + 1/x.  Other arguments are
-    recurrence-shifted above 8 and finished with the asymptotic expansion.
+    These are the only arguments the asymptotic formulas need (psi(b) with
+    b = (n+2)/2), and they have the exact closed form psi(1) = -gamma,
+    psi(1/2) = -gamma - 2 ln 2, psi(x+1) = psi(x) + 1/x.  Any other argument
+    raises ``ValueError``.
     """
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
     two_x = 2.0 * x
-    if two_x == math.floor(two_x) and x <= 128.0:
-        m = int(two_x)
-        if m % 2 == 0:  # integer argument
-            return -EULER_GAMMA + math.fsum(1.0 / j for j in range(1, m // 2))
-        # half-integer argument
-        return -EULER_GAMMA - 2.0 * _LN2 + math.fsum(2.0 / (2 * j - 1) for j in range(1, (m + 1) // 2))
-    acc = 0.0
-    t = x
-    while t < _DIGAMMA_SHIFT:
-        acc -= 1.0 / t
-        t += 1.0
-    u = 1.0 / (t * t)
-    tail = 0.0
-    for coeff in reversed(_DIGAMMA_ASYMPTOTIC):
-        tail = u * (coeff + tail)
-    return acc + math.log(t) - 0.5 / t + tail
+    if not (x > 0.0 and two_x.is_integer()):
+        raise ValueError(f"digamma requires an integer or half-integer x > 0, got {x}")
+    m = int(two_x)
+    if m % 2 == 0:  # integer argument
+        return -EULER_GAMMA + math.fsum(1.0 / j for j in range(1, m // 2))
+    # half-integer argument
+    return -EULER_GAMMA - 2.0 * _LN2 + math.fsum(2.0 / (2 * j - 1) for j in range(1, (m + 1) // 2))

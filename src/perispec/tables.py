@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional
 
-from . import asymptotics
 from .eigenvalues import DEFAULT_TOL, EvalPolicy, MaterialParams, SpectrumSample, eval_spectrum
 
 EIGS_COLUMNS = ("nu_norm", "lambda1", "lambda2", "lambda11", "lambda12")
@@ -30,18 +28,6 @@ FIGURE_POINTS = 1000
 FIGURE_NU_MAX = 30.0
 
 
-@dataclass(frozen=True)
-class FigureRow:
-    nu_norm: float
-    lambda1: float
-    lambda2: float
-    asym1: Optional[float]
-    asym2: Optional[float]
-    abs_err1: Optional[float]
-    abs_err2: Optional[float]
-    branch: str
-
-
 def wavenumber_grid(nu_min: float, nu_max: float, points: int) -> List[float]:
     """``points`` equispaced values on [nu_min, nu_max], the same doubles as
     ``numpy.linspace``: nu_min + i*step, with the last one exactly nu_max."""
@@ -63,17 +49,6 @@ def wavenumber_grid(nu_min: float, nu_max: float, points: int) -> List[float]:
     return grid
 
 
-def eigs_table(
-    params: MaterialParams,
-    nu_min: float,
-    nu_max: float,
-    points: int,
-    policy: Optional[EvalPolicy] = None,
-    tol: float = DEFAULT_TOL,
-) -> List[SpectrumSample]:
-    return eval_spectrum(params, wavenumber_grid(nu_min, nu_max, points), policy, tol)
-
-
 def figure_table(
     dim: int,
     beta: float,
@@ -83,7 +58,7 @@ def figure_table(
     points: int = FIGURE_POINTS,
     nu_max: float = FIGURE_NU_MAX,
     tol: float = DEFAULT_TOL,
-) -> List[FigureRow]:
+) -> List[SpectrumSample]:
     """Exact eigenvalues vs their asymptotic approximations on [0, nu_max].
 
     The lambda columns always come from the exact series (that is the point
@@ -91,27 +66,7 @@ def figure_table(
     at nu = 0 where log z and the negative powers are undefined.
     """
     params = MaterialParams(n=dim, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
-    branch = asymptotics.branch_for(params).value if beta < dim + 2 else ""
-    samples = eval_spectrum(
-        params, wavenumber_grid(0.0, nu_max, points), EvalPolicy.series_only(), tol
-    )
-    rows = []
-    for s in samples:
-        err1 = abs(s.lambda1 - s.asym1) if s.asym1 is not None else None
-        err2 = abs(s.lambda2 - s.asym2) if s.asym2 is not None else None
-        rows.append(
-            FigureRow(
-                nu_norm=s.nu_norm,
-                lambda1=s.lambda1,
-                lambda2=s.lambda2,
-                asym1=s.asym1,
-                asym2=s.asym2,
-                abs_err1=err1,
-                abs_err2=err2,
-                branch=branch if s.asym1 is not None else "",
-            )
-        )
-    return rows
+    return eval_spectrum(params, wavenumber_grid(0.0, nu_max, points), EvalPolicy.series_only(), tol)
 
 
 def default_panels(dim: int, beta: Optional[float] = None, delta: Optional[float] = None):

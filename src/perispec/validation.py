@@ -96,27 +96,28 @@ def check_oracle_equivalence(reduced: bool = False) -> CheckResult:
 
 
 def check_boundedness_classification() -> CheckResult:
-    """beta < n saturates at the closed-form constant; beta = n tracks the
-    logarithmic branch, with the extended-precision series as ground truth."""
+    """A bounded material saturates at the closed-form constant; a
+    logarithmically divergent one tracks the logarithmic branch, with the
+    extended-precision series as ground truth.  ``classify_growth`` says which."""
     t0 = time.monotonic()
     details = []
     passed = True
 
-    for n, beta in ((2, 1.0), (3, 2.0)):
+    for n, beta in ((2, 1.0), (3, 2.0), (1, 1.0), (2, 2.0), (3, 3.0)):
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
-        limit = asymptotics.bounded_limit(params)
-        val = lambda2(params, 1e4).value
-        rel = abs(val - limit) / abs(limit)
-        passed &= rel <= 0.05
-        details.append(f"(n={n},b={beta}) limit gap {rel:.2e}")
-
-    for n in (1, 2, 3):
-        params = MaterialParams(n=n, delta=1.0, beta=float(n), mu=1.0, lambda_star=2.0)
-        val = lambda2(params, 1e3).value
-        approx = asymptotics.asym_lambda2(params, 1e3)
-        rel = abs(val - approx) / abs(val)
-        passed &= rel <= 0.01
-        details.append(f"(n={n},b=n) log-branch gap {rel:.2e}")
+        kind = asymptotics.classify_growth(params).kind
+        if kind == "bounded":
+            limit = asymptotics.bounded_limit(params)
+            val = lambda2(params, 1e4).value
+            rel = abs(val - limit) / abs(limit)
+            passed &= rel <= 0.05
+            details.append(f"(n={n},b={beta}) limit gap {rel:.2e}")
+        elif kind == "log_divergent":
+            val = lambda2(params, 1e3).value
+            approx = asymptotics.asym_lambda2(params, 1e3)
+            rel = abs(val - approx) / abs(val)
+            passed &= rel <= 0.01
+            details.append(f"(n={n},b=n) log-branch gap {rel:.2e}")
 
     return _finish(
         "boundedness-classification",
@@ -151,7 +152,8 @@ ENVELOPE_COMBOS = ((1, 1.0), (2, 2.0), (3, 3.0), (3, 2.0), (3, 4.0))
 
 def check_envelope_slopes(points: int = 600) -> CheckResult:
     """Fitted decay of |exact - asymptotic| over z in [50, 500] must match
-    the oscillatory-term rates: -(n+3)/2 for lambda2, -(n+1)/2 for lambda11."""
+    the oscillatory-term rates that ``envelope_for`` states for lambda2 and
+    lambda11."""
     t0 = time.monotonic()
     tol = 0.3
     zs = np.linspace(50.0, 500.0, points)
@@ -168,8 +170,8 @@ def check_envelope_slopes(points: int = 600) -> CheckResult:
         )
         slope2 = block_maxima_slope(zs, err2)
         slope11 = block_maxima_slope(zs, err11)
-        want2 = -(n + 3.0) / 2.0
-        want11 = -(n + 1.0) / 2.0
+        want2 = asymptotics.envelope_for("lambda2", params).decay_exponent
+        want11 = asymptotics.envelope_for("lambda11", params).decay_exponent
         ok = abs(slope2 - want2) <= tol and abs(slope11 - want11) <= tol
         passed &= ok
         details.append(
@@ -223,8 +225,8 @@ def _check_panel(dim: int, beta: float, delta: float) -> Tuple[bool, str]:
         ok_decay &= all(maxima[i + 1] <= maxima[i] for i in range(len(maxima) - 1))
 
     # (c) bounded below the critical exponent, monotone divergence at/above it
-    if beta < dim:
-        params = MaterialParams(n=dim, delta=delta, beta=beta, mu=1.0, lambda_star=2.0)
+    params = MaterialParams(n=dim, delta=delta, beta=beta, mu=1.0, lambda_star=2.0)
+    if asymptotics.classify_growth(params).kind == "bounded":
         bound = 1.25 * abs(asymptotics.bounded_limit(params))
         ok_growth = bool(np.all(np.abs(l1) <= bound) and np.all(np.abs(l2) <= bound))
         kind = "bounded"

@@ -95,7 +95,7 @@ class TestLongitudinalDyadicAsymptote:
         assert asym_lambda11(p, 10.0) == asym_lambda11(p, 10000.0) == pytest.approx(-30.0, rel=1e-14)
         # and the series approaches that constant within the envelope
         exact = lambda11(p, 2000.0, 1e-12).value
-        assert abs(exact + 30.0) <= 1.5 * error_envelope("lambda1", p, 2000.0)
+        assert abs(exact + 30.0) <= 1.5 * error_envelope("lambda11", p, 2000.0)
 
     def test_linear_growth_at_beta_n_plus_one(self):
         # the power term must NOT vanish at beta = n+1: lambda11 grows ~ z
@@ -169,7 +169,7 @@ class TestErrorEnvelope:
         [
             ("lambda2", 3, -3.0),
             ("lambda2", 1, -2.0),
-            ("lambda1", 2, -1.5),
+            ("lambda11", 2, -1.5),
         ],
     )
     def test_decay_exponents(self, which, n, exponent):

@@ -203,9 +203,11 @@ class TestEvalSpectrum:
         assert (s.lambda1, s.lambda2, s.lambda11, s.lambda12) == (0.0, 0.0, 0.0, 0.0)
         assert s.asym1 is None and s.asym2 is None
 
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError):
-            eval_spectrum(params_for(3, 2.0), [1.0, 0.5])
+    def test_unsorted_grid_keeps_caller_order(self):
+        p = params_for(3, 2.0, delta=2.0)
+        grid = [30.0, 1.0, 0.0, 12.5, 1.0]
+        by_nu = {s.nu_norm: s for s in eval_spectrum(p, sorted(grid))}
+        assert eval_spectrum(p, grid) == [by_nu[nu] for nu in grid]
 
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,6 @@ class TestQuadratureSpec:
         [
             dict(radial_points=8),
             dict(angular_points=2),
-            dict(grading_exponent=0.0),
             dict(target_rel_err=1e-9),
             dict(max_refinements=0),
         ],

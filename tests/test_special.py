@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,10 +97,14 @@ class TestDigamma:
         lhs = digamma(x + 1.0) - digamma(x)
         assert abs(lhs - 1.0 / x) <= 1e-12 * abs(1.0 / x)
 
-    def test_general_path_against_half_integer_path(self):
-        # x = 3.25 goes through shift+asymptotics; bracket with the recurrence
-        x = 3.25
-        assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, rel=1e-12)
+    @pytest.mark.parametrize("x", [2.3, 3.25, 0.1, math.inf])
+    def test_off_lattice_rejected(self, x):
+        with pytest.raises(ValueError):
+            digamma(x)
+
+    @pytest.mark.parametrize("x", [200.5, 300.0])
+    def test_large_argument_against_mpmath(self, x):
+        assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.0, -0.5, -3.0])
     def test_domain_error(self, x):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perispec.tables import wavenumber_grid
+from perispec.asymptotics import BranchInstabilityWarning
+from perispec.tables import figure_table, wavenumber_grid
 
 nonnegative = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
 
@@ -42,3 +45,12 @@ class TestWavenumberGrid:
     def test_rejects_invalid(self, args):
         with pytest.raises(ValueError):
             wavenumber_grid(*args)
+
+
+class TestFigureTable:
+    def test_branch_warning_once_per_panel(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = figure_table(2, 2.0 + 1e-10, 1.0, points=5)
+        assert [w.category for w in caught] == [BranchInstabilityWarning]
+        assert [r.branch for r in rows] == [""] + ["logarithmic"] * 4
