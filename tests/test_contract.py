@@ -2,9 +2,9 @@
 
 ``tests/data/contract_sha256.txt`` holds the hashes of every file the runs in
 ``RUNS`` write: the 20 default figure panels (dim 2 and dim 3), one
-default-hybrid ``eigs`` run that crosses z_switch and one ``eigs --format
-json`` run.  A change that alters any byte of them on purpose regenerates the
-file with
+default-hybrid ``eigs`` run that crosses z_switch, one ``eigs --format
+json`` run and one series ``eigs`` run at z from 1000 to 3000.  A change that
+alters any byte of them on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_contract.py
 """
@@ -36,6 +36,12 @@ RUNS = (
         ("eigs", "--dim", "2", "--beta", "2", "--delta", "2", "--nu-max", "25", "--points", "100",
          "--format", "json"),
         "eigs_dim2_beta2_delta2_nu0-25.json",
+    ),
+    # the series policy at z = 1000 to 3000: thousands of terms at up to 8,749 bits
+    (
+        ("eigs", "--dim", "2", "--beta", "2.5", "--policy", "series", "--nu-min", "2000", "--nu-max", "6000",
+         "--points", "4"),
+        "eigs_dim2_beta2.5_series_nu2000-6000.csv",
     ),
 )
 
