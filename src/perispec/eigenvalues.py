@@ -12,7 +12,10 @@ the single variable z = delta*||nu||/2:
 
 with a = (n+2-beta)/2 and b = (n+2)/2.  At beta = n+2 the series collapse to
 1 (the a = 0 numerator parameter truncates them) and the eigenvalues reduce
-to those of the classical Navier operator.
+to those of the classical Navier operator.  The series are contiguous: with
+v_k the k-th 2F3 term, the 3F4 term is v_k (2k+3)/3 and the 1F2 term is
+v_k (k+1)(b+k)/b.  So at one wavenumber every part comes from one walk of the
+2F3 terms, in ``hyper.eval_contiguous``, the one summation loop.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence
 
 from .asymptotics import AsymptoticForms
-from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_pfq
+from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_contiguous
 from .material import DerivedParams, MaterialParams, WaveNumber, derive  # re-exported
 
 DEFAULT_TOL = 1e-10
@@ -91,9 +94,9 @@ def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
 class _Plan:
     """The z-independent work of one material, done once for any number of
     wavenumbers: ``derive``, the three series and the asymptotic constants,
-    each built on first use.  A series keeps its memo of term ratios, so every
-    wavenumber evaluated through one plan reuses the ratios the earlier ones
-    computed."""
+    each built on first use.  The series keep their memos of term ratios and
+    weights, so every wavenumber evaluated through one plan reuses what the
+    earlier ones computed."""
 
     def __init__(self, params: MaterialParams):
         self.params = params
@@ -121,32 +124,34 @@ class _Plan:
     def forms(self) -> AsymptoticForms:
         return AsymptoticForms(self.params, self.derived)
 
-    def lambda2(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
-        if w.nu_norm == 0.0:
-            return _zero_result()
-        res = eval_pfq(self.transverse, w.z * w.z, tol, **kwargs)
-        return _scaled(-self.params.mu * w.nu_norm * w.nu_norm, res)
-
-    def lambda11(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
-        if w.nu_norm == 0.0:
-            return _zero_result()
-        res = eval_pfq(self.dyadic, w.z * w.z, tol, **kwargs)
-        return _scaled(-3.0 * self.params.mu * w.nu_norm * w.nu_norm, res)
-
-    def lambda12(self, w: WaveNumber, tol: float, **kwargs) -> EvalResult:
+    def lambdas(self, w: WaveNumber, tol: float, series: Sequence[str], **kwargs) -> List[EvalResult]:
+        """lambda2, lambda11 or lambda12 at one wavenumber for each of the
+        ``series`` named ("transverse", "dyadic", "coupling"), in order, all
+        summed in one ``eval_contiguous`` walk of the transverse terms."""
         params = self.params
-        if w.nu_norm == 0.0 or params.lambda_star == params.mu:
-            return _zero_result()
-        res = eval_pfq(self.coupling, w.z * w.z, tol, **kwargs)
-        prefactor = -(params.lambda_star - params.mu) * w.nu_norm * w.nu_norm
-        value = prefactor * res.value * res.value
-        err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
-        return EvalResult(
-            value=value,
-            abs_error_estimate=err,
-            terms_used=res.terms_used,
-            precision_bits_used=res.precision_bits_used,
-        )
+        nu = w.nu_norm
+        live = () if nu == 0.0 else series
+        if params.lambda_star == params.mu and "coupling" in live:
+            live = [name for name in live if name != "coupling"]
+        sums = {}
+        if live:
+            members = [getattr(self, name) for name in live]
+            sums = dict(zip(live, eval_contiguous(self.transverse, members, w.z * w.z, tol, **kwargs)))
+        out = []
+        for name in series:
+            res = sums.get(name)
+            if res is None:
+                out.append(_zero_result())
+            elif name == "transverse":
+                out.append(_scaled(-params.mu * nu * nu, res))
+            elif name == "dyadic":
+                out.append(_scaled(-3.0 * params.mu * nu * nu, res))
+            else:  # lambda12 = prefactor * 1F2^2
+                prefactor = -(params.lambda_star - params.mu) * nu * nu
+                err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
+                value = prefactor * res.value * res.value
+                out.append(EvalResult(value, err, res.terms_used, res.precision_bits_used))
+        return out
 
 
 def transverse_series(params: MaterialParams) -> HypergeometricSeries:
@@ -155,25 +160,23 @@ def transverse_series(params: MaterialParams) -> HypergeometricSeries:
 
 def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
-    return _Plan(params).lambda2(WaveNumber.of(params, nu_norm), tol, **kwargs)
+    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("transverse",), **kwargs)[0]
 
 
 def lambda11(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Dyadic part of the longitudinal eigenvalue, -3 mu ||nu||^2 3F4(...)."""
-    return _Plan(params).lambda11(WaveNumber.of(params, nu_norm), tol, **kwargs)
+    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic",), **kwargs)[0]
 
 
 def lambda12(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
     """Rank-one coupling part, -||nu||^2 (lambda* - mu) [1F2(...)]^2."""
-    return _Plan(params).lambda12(WaveNumber.of(params, nu_norm), tol, **kwargs)
+    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("coupling",), **kwargs)[0]
 
 
 def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
-    """Longitudinal eigenvalue lambda11 + lambda12 with combined error."""
-    plan = _Plan(params)
-    w = WaveNumber.of(params, nu_norm)
-    r11 = plan.lambda11(w, tol, **kwargs)
-    r12 = plan.lambda12(w, tol, **kwargs)
+    """Longitudinal eigenvalue lambda11 + lambda12 with combined error, both
+    parts from one walk of the transverse terms."""
+    r11, r12 = _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic", "coupling"), **kwargs)
     return EvalResult(
         value=r11.value + r12.value,
         abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
@@ -243,13 +246,12 @@ def eval_spectrum(
                 asym1 = None
                 asym2 = None
                 branch = ""
-            r11 = plan.lambda11(w, tol)
-            r12 = plan.lambda12(w, tol)
+            r2, r11, r12 = plan.lambdas(w, tol, ("transverse", "dyadic", "coupling"))
             samples.append(
                 SpectrumSample(
                     nu_norm=w.nu_norm,
                     lambda1=r11.value + r12.value,
-                    lambda2=plan.lambda2(w, tol).value,
+                    lambda2=r2.value,
                     lambda11=r11.value,
                     lambda12=r12.value,
                     asym1=asym1,

@@ -2,28 +2,32 @@
 
 For p <= q these series are entire, but at large z they are dominated by
 catastrophic cancellation: the terms peak near e^(2z) while the sum is O(1).
-``eval_pfq`` therefore sums the term recurrence in binary fixed point on
-Python integers: every term is an integer scaled by 2^bits, with ``bits`` from
-``required_bits``.  All series parameters and z^2 are doubles, hence exact
-dyadic rationals, so each term step is one integer multiply and one floor
-division (error below one unit of 2^-bits), the truncation test is an exact
-integer comparison, and the sum is rounded to double once at the end.  The
-result carries an explicit error estimate.
+So they are summed in binary fixed point, every term an integer scaled by
+2^bits (``required_bits``).  Parameters and z^2 are doubles, hence exact
+dyadic rationals: a term step is one integer multiply and one floor division
+(error below 2^-bits), the truncation test is an exact integer comparison, and
+each sum is rounded to double once, with an explicit error estimate.
 
-The integer term ratios do not depend on z, so each ``HypergeometricSeries``
-object memoises them: a later evaluation of the same object, at any z, looks
-them up instead of recomputing them.  The memo is per series object, not
-process-wide; it grows to the highest term any evaluation reached and is freed
-with the object.  ``eval_pfq_float64`` is the
-deliberately naive double-precision summation kept around to demonstrate (and
-regression-test) why the fixed-point path exists.
+``eval_contiguous`` is the one summation loop.  It walks the terms t_k of a
+base series once and sums each contiguous member, whose k-th term is
+t_k W(k) / W(0) for an integer polynomial W: with t_k the term of
+2F3(1, a; 2, b+1, a+1), the 3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is
+t_k (2k+3)/3 and the 1F2(a; b, a+1) term is t_k (k+1)(b+k)/b.  ``eval_pfq``
+is its one-member case.  The z-independent term ratios and weights are
+memoised on the series objects (not process-wide) up to the highest term any
+sum reached.  ``eval_pfq_float64`` is the deliberately naive
+double-precision summation kept to demonstrate (and regression-test) why the
+fixed-point path exists.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterator, List, Optional, Sequence
 
 #: Hard ceiling on working precision; beyond it evaluation refuses to run.
 MAX_PRECISION_BITS = 1 << 20
@@ -34,6 +38,9 @@ MAX_PRECISION_BITS = 1 << 20
 MIN_TERM_CAP = 10_000
 
 DOUBLE_BITS = 53
+
+#: Most base terms ``eval_contiguous`` makes per pass over its members.
+_CHUNK = 16
 
 _LOG2_E = math.log2(math.e)
 
@@ -75,17 +82,16 @@ class HypergeometricSeries:
     """A pFq specification: numerator a_1..a_p and denominator b_1..b_q.
 
     Outside its two fields, and so outside equality and hashing, the object
-    keeps the memo of z-independent term ratios that ``eval_pfq`` fills.
+    keeps the memos of z-independent term ratios, and of its weights as a
+    member, that ``eval_contiguous`` fills.
     """
 
     numerator_params: tuple
     denominator_params: tuple
 
     def __post_init__(self):
-        nums = tuple(float(a) for a in self.numerator_params)
-        dens = tuple(float(b) for b in self.denominator_params)
-        object.__setattr__(self, "numerator_params", nums)
-        object.__setattr__(self, "denominator_params", dens)
+        nums = tuple(map(float, self.numerator_params))
+        dens = tuple(map(float, self.denominator_params))
         if len(nums) > len(dens):
             raise InvalidSeriesError(
                 f"need p <= q for an entire series, got p={len(nums)}, q={len(dens)}"
@@ -94,13 +100,13 @@ class HypergeometricSeries:
             if b <= 0.0 and b == math.floor(b):
                 raise InvalidSeriesError(f"denominator parameter {b} is a nonpositive integer")
         # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly.
-        nums = tuple(a.as_integer_ratio() for a in nums)
-        dens = tuple(b.as_integer_ratio() for b in dens)
-        scales = (math.prod(q for _, q in dens), math.prod(q for _, q in nums))
-        object.__setattr__(self, "_integer_params", (nums, dens) + scales)
-        # Memo of the term ratios, flat: num_0, den_0, num_1, den_1, ... (see
-        # eval_pfq).  A published list is never mutated: eval_pfq replaces it.
-        object.__setattr__(self, "_ratios", [])
+        int_nums = tuple(map(float.as_integer_ratio, nums))
+        int_dens = tuple(map(float.as_integer_ratio, dens))
+        scales = math.prod(map(itemgetter(1), int_dens)), math.prod(map(itemgetter(1), int_nums))
+        # Set in the instance dict, as the fields are frozen.  Memos (see eval_contiguous): term ratios
+        # ([num_0, ...], [den_0, ...]) and the weights (base, factors, [W(0), ...]) on the last base.
+        vars(self).update(numerator_params=nums, denominator_params=dens, _ratios=([], []), _weights=None)
+        vars(self)["_integer_params"] = (int_nums, int_dens + ((1, 1),)) + scales
 
 
 @dataclass(frozen=True)
@@ -119,25 +125,60 @@ class EvalResult:
             raise ValueError("abs_error_estimate must be >= 0")
 
 
-def eval_pfq(
-    series: HypergeometricSeries,
-    z_sq: float,
-    target_rel_err: float = 1e-12,
-    *,
-    bits: Optional[int] = None,
-    max_terms: Optional[int] = None,
-) -> EvalResult:
-    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq) in fixed point.
+def _weight_factors(base: HypergeometricSeries, member: HypergeometricSeries) -> tuple:
+    """Linear factors (p, q) of W(k) = prod (p + k q), t_k(member) = t_k(base) W(k) / W(0).
 
-    Terms follow the recurrence
-    t_{k+1} = t_k * (-z_sq) * prod(a_i + k) / (prod(b_j + k) * (k + 1)),
-    held as integers scaled by 2^bits, with ``bits = required_bits(sqrt(z_sq))``
-    unless overridden.  Truncation requires |t_k| < target_rel_err * |sum| for
-    three consecutive terms *after* the term-magnitude peak; a single small
-    term before the peak of an alternating series proves nothing.
+    After equal parameters cancel, the member's term over the base's is a product of
+    (t)_k / (s)_k, each needing t = s + m for an integer m >= 1 and s = p/q > 0: then it
+    is prod_{i<m} (p + i q + k q) / (p + i q).  Anything else raises ``InvalidSeriesError``."""
+    lower = [*member.denominator_params, *base.numerator_params]
+    upper = []
+    for x in member.numerator_params + base.denominator_params:
+        if x in lower:
+            lower.remove(x)
+        else:
+            upper.append(x)
+    if len(upper) > 1:  # paired in order within each residue class mod 1: t > s if any pairing has it
+        upper.sort(key=lambda x: (x % 1.0, x))
+        lower.sort(key=lambda x: (x % 1.0, x))
+    factors = []
+    for t, s in zip(upper, lower):
+        (tp, tq), (p, q) = t.as_integer_ratio(), s.as_integer_ratio()
+        m, rem = divmod(tp * q - p * tq, tq * q)  # t - s = m exactly iff rem == 0
+        if s <= 0.0 or rem or m < 1:
+            break
+        factors.extend((p + i * q, q) for i in range(m))
+    else:
+        if len(upper) == len(lower):
+            return tuple(factors)
+    raise InvalidSeriesError(f"{member} is not a contiguous member of {base}")
+
+
+def _products(scale: int, factors: tuple, start: int, stop: int) -> Iterator[int]:
+    """scale * prod(p + k q for (p, q) in factors) for k in range(start, stop)."""
+    values = repeat(scale, stop - start)
+    for p, q in factors:
+        values = map(operator.mul, values, range(p + start * q, p + stop * q, q))
+    return values
+
+
+def eval_contiguous(
+    base: HypergeometricSeries, members: Sequence[HypergeometricSeries], z_sq: float,
+    target_rel_err: float = 1e-12, *, bits: Optional[int] = None, max_terms: Optional[int] = None,
+) -> List[EvalResult]:
+    """Sum each member series at -z_sq from one walk of the base's terms.
+
+    Base terms t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are
+    integers scaled by 2^bits, ``bits = required_bits(sqrt(z_sq))`` unless
+    overridden.  A member's term is t_k W(k) / D, D = W(0) (``_weight_factors``).
+    Each member keeps its own sum of t_k W(k), peak, term count and error
+    estimate; D enters once, in the final rounding.  A sum stops at three
+    consecutive terms with |term| < target_rel_err |sum| *after* the peak term
+    (before it, a small term of an alternating series proves nothing).
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
-    ``MAX_PRECISION_BITS`` or the term budget runs out.
+    ``MAX_PRECISION_BITS`` or the term budget runs out, and
+    ``InvalidSeriesError`` for a member not contiguous to the base.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -154,82 +195,122 @@ def eval_pfq(
         )
     cap = max_terms if max_terms is not None else default_max_terms(z)
 
-    # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for
-    # the z-independent integers num_k = prod q_b prod(p_a + k q_a) and
-    # den_k = prod q_a (k+1) prod(p_b + k q_b).  The series memoises them:
-    # entry k is computed when a sum first reaches term k.
-    nums, dens, num_scale, den_scale = series._integer_params
-    memo = list(series._ratios)  # extended privately, published after the sum
-    known = len(memo) // 2
+    # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
+    # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
+    # (k+1) prod(p_b + k q_b).  The base memoises them, each member its W(k); a
+    # memo list is never mutated: a sum that reaches past it publishes a longer copy.
+    nums, dens, num_scale, den_scale = base._integer_params
+    ratio_nums, ratio_dens = base._ratios
     zp, zq = z_sq.as_integer_ratio()
     mzp = -zp
     tol_p, tol_q = target_rel_err.as_integer_ratio()
+    # |t| tol_q < tol_p |S| cannot hold once |t| has this many more bits than S
+    reject_bits = tol_p.bit_length() - tol_q.bit_length() + 2
 
     one = 1 << bits
+    # Per member, scaled by D 2^bits: [(factors, W memo) or None, sum, previous
+    # |term|, peak |term|, past peak, small terms in a row, terms used, last |term|, D 2^bits]
+    states = []
+    for member in members:
+        weight = None
+        if member is not base:
+            entry = member._weights
+            if entry is None or entry[0] is not base:
+                factors = _weight_factors(base, member)
+                entry = (base, factors, [math.prod(map(itemgetter(0), factors))])
+                object.__setattr__(member, "_weights", entry)
+            weight = entry[1:] if entry[1] else None
+        t0 = one if weight is None else one * weight[1][0]
+        states.append([weight, t0, t0, t0, False, 0, 0, None, t0])
+    active = states
     term = one
-    total = one
-    prev_mag = one
-    peak_mag = one
-    past_peak = False
-    terminated = False
-    consecutive_small = 0
-    last_mag = 0
-
-    for k in range(cap):
-        if k < known:
-            num = memo[2 * k]
-            den = memo[2 * k + 1]
-        else:
-            num = num_scale
-            for p, q in nums:
-                num *= p + k * q
-            den = den_scale * (k + 1)
-            for p, q in dens:
-                den *= p + k * q
-            memo.append(num)
-            memo.append(den)
-        num *= mzp
-        if num == 0:
-            terminated = True  # a numerator parameter hit a nonpositive integer
-            break
-        term = term * num // (den * zq)
-        mag = abs(term)
-        total += term
-        if not past_peak:
-            if mag >= prev_mag:  # still rising: no truncation test can pass yet
-                peak_mag = prev_mag = mag
-                continue
-            past_peak = True
-        elif mag > peak_mag:
-            peak_mag = mag
-        if mag * tol_q < tol_p * abs(total):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                last_mag = mag
+    k = 0  # term steps taken: the walk holds t_0 .. t_k
+    size = min(_CHUNK, 4 + int(3.0 * z))  # steps in the next chunk; the terms rise until k ~ z
+    while active:
+        if k >= cap:
+            raise PrecisionExhaustedError(
+                f"series did not converge within {cap} terms at z = {z:g} "
+                f"(past_peak={active[0][4]}); raise max_terms if the argument is legitimate"
+            )
+        first = k
+        last = min(first + size, cap)
+        if len(ratio_nums) < last:
+            ratio_nums = [*ratio_nums, *_products(num_scale, nums, len(ratio_nums), last)]
+            ratio_dens = [*ratio_dens, *_products(den_scale, dens, len(ratio_dens), last)]
+        chunk = []
+        terminated = False  # a numerator parameter hit a nonpositive integer
+        for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+            num *= mzp
+            if num == 0:
+                terminated = True
                 break
-        else:
-            consecutive_small = 0
-    else:
-        raise PrecisionExhaustedError(
-            f"series did not converge within {cap} terms at z = {z:g} "
-            f"(past_peak={past_peak}); raise max_terms if the argument is legitimate"
-        )
-    if len(memo) > len(series._ratios):
-        object.__setattr__(series, "_ratios", memo)  # one assignment: readers see old or new list
-    terms_used = k + 1 if terminated else k + 2
+            term = term * num // (den * zq)
+            chunk.append(term)
+        k = first + len(chunk)
+        # The next chunk ends about where the last sum can stop, so a cold memo is not
+        # extended far past it: a sum's excess bits over its threshold, at the base's rate.
+        drop = chunk[-2].bit_length() - term.bit_length() if len(chunk) > 1 else 0
+        size = 1
+        for st in active:
+            weight, total, prev_mag, peak_mag, past_peak, small, _, _, _ = st
+            xs = chunk
+            if weight is not None:
+                factors, values = weight
+                if len(values) <= k:
+                    st[0] = factors, values = factors, [*values, *_products(1, factors, len(values), k + 1)]
+                xs = map(operator.mul, chunk, values[first + 1 : k + 1])
+            for used, x in enumerate(xs, first + 2):
+                mag = abs(x)
+                total += x
+                if not past_peak:
+                    if mag >= prev_mag:  # still rising: no truncation test can pass yet
+                        peak_mag = prev_mag = mag
+                        continue
+                    past_peak = True
+                elif mag > peak_mag:
+                    peak_mag = mag
+                if mag.bit_length() < total.bit_length() + reject_bits and mag * tol_q < tol_p * abs(total):
+                    small += 1
+                    if small >= 3:
+                        st[1:8] = total, prev_mag, peak_mag, past_peak, small, used, mag
+                        break
+                else:
+                    small = 0
+            else:
+                st[1:6] = total, prev_mag, peak_mag, past_peak, small
+                if past_peak and drop > 0:
+                    excess = max(0, mag.bit_length() - total.bit_length() - reject_bits)
+                    size = max(size, min(_CHUNK, 3 - small - (-excess // drop)))
+                else:
+                    size = _CHUNK
+        active = [st for st in active if not st[6]]
+        if terminated:
+            for st in active:
+                st[6] = k + 1
+            break
 
-    value = total / one  # int / int: one correct rounding to double
-    rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))  # peak * 2^(1-bits) * (terms+2)
-    if terminated:
-        abs_err = rounding
-    else:
-        abs_err = target_rel_err * abs(value) + last_mag / one + rounding
-    return EvalResult(
-        value=value,
-        abs_error_estimate=abs_err,
-        terms_used=terms_used,
-        precision_bits_used=bits,
-    )
+    if ratio_nums is not base._ratios[0]:
+        object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))  # one assignment: readers see old or new
+    for member, st in zip(members, states):
+        if st[0] is not None and len(st[0][1]) > len(member._weights[2]):
+            object.__setattr__(member, "_weights", (base, *st[0]))
+
+    out = []
+    for _, total, _, peak_mag, _, _, terms_used, last_mag, scale in states:
+        value = total / scale  # int / int: one correct rounding to double
+        abs_err = peak_mag * (terms_used + 2) / (scale << (bits - 1))  # peak * 2^(1-bits) * (terms+2)
+        if last_mag is not None:
+            abs_err = target_rel_err * abs(value) + last_mag / scale + abs_err
+        out.append(EvalResult(value=value, abs_error_estimate=abs_err, terms_used=terms_used, precision_bits_used=bits))
+    return out
+
+
+def eval_pfq(
+    series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12, **overrides
+) -> EvalResult:
+    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq): ``eval_contiguous`` with the series
+    as base and only member, taking the same ``bits``/``max_terms`` overrides."""
+    return eval_contiguous(series, (series,), z_sq, target_rel_err, **overrides)[0]
 
 
 def eval_pfq_float64(series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12) -> float:

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import asymptotics, tables
 from .eigenvalues import (
+    EvalPolicy,
     MaterialParams,
+    eval_spectrum,
     lambda1,
-    lambda11,
     lambda2,
     navier_eigenvalues,
     transverse_series,
@@ -161,13 +162,9 @@ def check_envelope_slopes(points: int = 600) -> CheckResult:
     passed = True
     for n, beta in ENVELOPE_COMBOS:
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
-        nus = 2.0 * zs / params.delta
-        err2 = np.array(
-            [abs(lambda2(params, nu, 1e-12).value - asymptotics.asym_lambda2(params, nu)) for nu in nus]
-        )
-        err11 = np.array(
-            [abs(lambda11(params, nu, 1e-12).value - asymptotics.asym_lambda11(params, nu)) for nu in nus]
-        )
+        rows = eval_spectrum(params, 2.0 * zs / params.delta, EvalPolicy.series_only(), 1e-12)
+        err2 = np.array([abs(r.lambda2 - asymptotics.asym_lambda2(params, r.nu_norm)) for r in rows])
+        err11 = np.array([abs(r.lambda11 - asymptotics.asym_lambda11(params, r.nu_norm)) for r in rows])
         slope2 = block_maxima_slope(zs, err2)
         slope11 = block_maxima_slope(zs, err11)
         want2 = asymptotics.envelope_for("lambda2", params).decay_exponent
