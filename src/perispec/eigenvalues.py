@@ -93,22 +93,16 @@ def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
 
 class _Plan:
     """The z-independent work of one material, done once for any number of
-    wavenumbers: ``derive``, the three series and the asymptotic constants,
-    each built on first use.  The series keep their memos of term ratios and
-    weights, so every wavenumber evaluated through one plan reuses what the
-    earlier ones computed."""
+    wavenumbers: ``derive`` and the transverse series, then the other two
+    series and the asymptotic constants on first use.  The series keep their
+    memos of term ratios and weights, so every wavenumber evaluated through
+    one plan reuses what the earlier ones computed."""
 
     def __init__(self, params: MaterialParams):
         self.params = params
-
-    @cached_property
-    def derived(self) -> DerivedParams:
-        return derive(self.params)
-
-    @cached_property
-    def transverse(self) -> HypergeometricSeries:
+        self.derived: DerivedParams = derive(params)
         d = self.derived
-        return HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
+        self.transverse = HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
 
     @cached_property
     def dyadic(self) -> HypergeometricSeries:

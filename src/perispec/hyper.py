@@ -197,14 +197,14 @@ def eval_contiguous(
 
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
-    # (k+1) prod(p_b + k q_b).  The base memoises them, each member its W(k); a
-    # memo list is never mutated: a sum that reaches past it publishes a longer copy.
+    # (k+1) prod(p_b + k q_b).  The base memoises them, each member its W(k); the
+    # sum extends private copies of the memo lists and publishes them if longer.
     nums, dens, num_scale, den_scale = base._integer_params
-    ratio_nums, ratio_dens = base._ratios
+    ratio_nums, ratio_dens = map(list, base._ratios)
     zp, zq = z_sq.as_integer_ratio()
     mzp = -zp
     tol_p, tol_q = target_rel_err.as_integer_ratio()
-    # |t| tol_q < tol_p |S| cannot hold once |t| has this many more bits than S
+    # |t| tol_q < tol_p |S| cannot hold once a nonzero |t| has this many more bits than S
     reject_bits = tol_p.bit_length() - tol_q.bit_length() + 2
 
     one = 1 << bits
@@ -219,13 +219,13 @@ def eval_contiguous(
                 factors = _weight_factors(base, member)
                 entry = (base, factors, [math.prod(map(itemgetter(0), factors))])
                 object.__setattr__(member, "_weights", entry)
-            weight = entry[1:] if entry[1] else None
+            weight = (entry[1], list(entry[2])) if entry[1] else None
         t0 = one if weight is None else one * weight[1][0]
         states.append([weight, t0, t0, t0, False, 0, 0, None, t0])
     active = states
     term = one
     k = 0  # term steps taken: the walk holds t_0 .. t_k
-    size = min(_CHUNK, 4 + int(3.0 * z))  # steps in the next chunk; the terms rise until k ~ z
+    size = min(_CHUNK, 8 + int(3.0 * z))  # steps in the next chunk; the terms rise until k ~ z
     while active:
         if k >= cap:
             raise PrecisionExhaustedError(
@@ -235,8 +235,8 @@ def eval_contiguous(
         first = k
         last = min(first + size, cap)
         if len(ratio_nums) < last:
-            ratio_nums = [*ratio_nums, *_products(num_scale, nums, len(ratio_nums), last)]
-            ratio_dens = [*ratio_dens, *_products(den_scale, dens, len(ratio_dens), last)]
+            ratio_nums += _products(num_scale, nums, len(ratio_nums), last)
+            ratio_dens += _products(den_scale, dens, len(ratio_dens), last)
         chunk = []
         terminated = False  # a numerator parameter hit a nonpositive integer
         for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
@@ -257,7 +257,7 @@ def eval_contiguous(
             if weight is not None:
                 factors, values = weight
                 if len(values) <= k:
-                    st[0] = factors, values = factors, [*values, *_products(1, factors, len(values), k + 1)]
+                    values += _products(1, factors, len(values), k + 1)
                 xs = map(operator.mul, chunk, values[first + 1 : k + 1])
             for used, x in enumerate(xs, first + 2):
                 mag = abs(x)
@@ -269,7 +269,9 @@ def eval_contiguous(
                     past_peak = True
                 elif mag > peak_mag:
                     peak_mag = mag
-                if mag.bit_length() < total.bit_length() + reject_bits and mag * tol_q < tol_p * abs(total):
+                if (not mag or mag.bit_length() < total.bit_length() + reject_bits) and (
+                    mag * tol_q < tol_p * abs(total)
+                ):
                     small += 1
                     if small >= 3:
                         st[1:8] = total, prev_mag, peak_mag, past_peak, small, used, mag
@@ -289,19 +291,21 @@ def eval_contiguous(
                 st[6] = k + 1
             break
 
-    if ratio_nums is not base._ratios[0]:
+    if len(ratio_nums) > len(base._ratios[0]):
         object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))  # one assignment: readers see old or new
     for member, st in zip(members, states):
         if st[0] is not None and len(st[0][1]) > len(member._weights[2]):
             object.__setattr__(member, "_weights", (base, *st[0]))
 
     out = []
-    for _, total, _, peak_mag, _, _, terms_used, last_mag, scale in states:
+    for weight, total, _, peak_mag, _, _, terms_used, last_mag, scale in states:
         value = total / scale  # int / int: one correct rounding to double
+        if weight is not None:  # a tail term carries the base's floor errors, times W(k) <= W(last)
+            peak_mag = max(peak_mag, weight[1][terms_used - 1] * one)
         abs_err = peak_mag * (terms_used + 2) / (scale << (bits - 1))  # peak * 2^(1-bits) * (terms+2)
         if last_mag is not None:
             abs_err = target_rel_err * abs(value) + last_mag / scale + abs_err
-        out.append(EvalResult(value=value, abs_error_estimate=abs_err, terms_used=terms_used, precision_bits_used=bits))
+        out.append(EvalResult(value, abs_err, terms_used, bits))
     return out
 
 

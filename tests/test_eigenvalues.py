@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from perispec.eigenvalues import (
     lambda2,
     navier_eigenvalues,
 )
+from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, eval_pfq
 from test_hyper import bruteforce_pfq
 
 
@@ -250,3 +252,86 @@ class TestEvalSpectrum:
         samples = eval_spectrum(params_for(3, 5.0), [1.0])
         assert samples[0].asym1 is None and samples[0].asym2 is None
         assert samples[0].method == "series"
+
+
+def separate_sum(params, nu, tol, part, **overrides):
+    """``part`` (lambda2, lambda11 or lambda12) as (value, terms_used) from a
+    single-series sum of its own series, or PrecisionExhaustedError."""
+    d = derive(params)
+    mu, lam = params.mu, params.lambda_star
+    if nu == 0.0 or (part is lambda12 and lam == mu):
+        return 0.0, 1
+    series, prefactor = {
+        lambda2: (HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0)), -mu * nu * nu),
+        lambda11: (HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0)), -3.0 * mu * nu * nu),
+        lambda12: (HypergeometricSeries((d.a,), (d.b, d.a + 1.0)), -(lam - mu) * nu * nu),
+    }[part]
+    try:
+        res = eval_pfq(series, WaveNumber.of(params, nu).z ** 2, tol, **overrides)
+    except PrecisionExhaustedError as exc:
+        return type(exc)
+    value = prefactor * res.value * res.value if part is lambda12 else prefactor * res.value
+    return value, res.terms_used
+
+
+def summed(part, params, nu, tol, **overrides):
+    """(value, terms_used) of a public wrapper, or PrecisionExhaustedError."""
+    try:
+        res = part(params, nu, tol, **overrides)
+    except PrecisionExhaustedError as exc:
+        return type(exc)
+    return res.value, res.terms_used
+
+
+#: beta = n+2 (terminating series), beta = n, lambda* = mu, and z up to 100
+CONTIGUOUS_MATERIALS = [
+    params_for(1, 0.5),
+    params_for(2, 1.0),
+    params_for(2, 2.0),
+    params_for(3, 4.5),
+    params_for(3, 5.0),
+    params_for(2, 3.0, lambda_star=1.0),
+    params_for(3, 2.5, delta=2.0),
+]
+
+
+class TestOneWalkPerPoint:
+    # Each point sums its series in one walk of the transverse terms; every
+    # part must equal a separate single-series sum, value and terms used.
+    GRID = [0.0, 0.3, 2.5, 11.0, 40.0, 100.0]
+
+    @pytest.mark.parametrize("params", CONTIGUOUS_MATERIALS)
+    @pytest.mark.parametrize("tol", [1e-15, 1e-10])
+    def test_rows_and_wrappers_equal_separate_sums(self, params, tol):
+        rows = eval_spectrum(params, self.GRID, EvalPolicy.series_only(), tol)
+        for row in rows:
+            want = [separate_sum(params, row.nu_norm, tol, part) for part in (lambda2, lambda11, lambda12)]
+            assert [row.lambda2, row.lambda11, row.lambda12] == [v for v, _ in want]
+            assert [summed(part, params, row.nu_norm, tol) for part in (lambda2, lambda11, lambda12)] == want
+            assert summed(lambda1, params, row.nu_norm, tol) == (want[1][0] + want[2][0], want[1][1] + want[2][1])
+
+    @pytest.mark.parametrize("params", CONTIGUOUS_MATERIALS)
+    @pytest.mark.parametrize("overrides", [dict(bits=400), dict(max_terms=6)])
+    def test_overrides_pass_through(self, params, overrides):
+        for nu in (0.0, 0.3, 11.0, 40.0):
+            want = [separate_sum(params, nu, 1e-12, part, **overrides) for part in (lambda2, lambda11, lambda12)]
+            assert [summed(part, params, nu, 1e-12, **overrides) for part in (lambda2, lambda11, lambda12)] == want
+            r1 = summed(lambda1, params, nu, 1e-12, **overrides)
+            if PrecisionExhaustedError in want[1:]:
+                assert r1 is PrecisionExhaustedError
+            else:
+                assert r1 == (want[1][0] + want[2][0], want[1][1] + want[2][1])
+        if "bits" in overrides:
+            assert lambda1(params, 11.0, 1e-12, **overrides).precision_bits_used == overrides["bits"]
+
+    def test_large_z_lambda1_keeps_no_term_list(self):
+        # z = 2000: ~5,500 terms of ~5,900 bits, about 4 MB as a list of ints.
+        # The walk holds a chunk of at most 16 of them at a time.
+        params = params_for(2, 2.5)
+        tracemalloc.start()
+        try:
+            lambda1(params, 4000.0, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000

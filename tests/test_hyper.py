@@ -20,6 +20,7 @@ from perispec.hyper import (
     InvalidSeriesError,
     PrecisionExhaustedError,
     default_max_terms,
+    eval_contiguous,
     eval_pfq,
     eval_pfq_float64,
     required_bits,
@@ -222,6 +223,87 @@ class TestErrorBound:
             )
             assert abs(res.value - ref) <= res.abs_error_estimate
 
+@st.composite
+def contiguous_families(draw):
+    """A ``series_shapes`` base on a 2^-10 grid (so that adding an integer is
+    exact) and 1-3 members made from it by raising numerator parameters and
+    lowering denominator parameters by integers (staying > 0), sometimes with
+    an added (c + m; c) pair, as the dyadic series adds (5/2; 3/2)."""
+    shape = draw(series_shapes())
+    grid = lambda x: max(round(x * 1024), 1) / 1024  # noqa: E731
+    base = HypergeometricSeries(tuple(map(grid, shape.numerator_params)), tuple(map(grid, shape.denominator_params)))
+    members = [base]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        nums = [a + draw(st.integers(0, 2)) for a in base.numerator_params]
+        dens = []
+        for b in base.denominator_params:
+            m = draw(st.integers(0, 2))
+            dens.append(b - m if b - m > 0 else b)
+        if draw(st.booleans()):
+            c = grid(draw(st.floats(min_value=0.25, max_value=4.0)))
+            m = draw(st.integers(1, 2))
+            nums.append(c + m)
+            dens.append(c)
+        members.append(HypergeometricSeries(tuple(nums), tuple(dens)))
+    return base, members
+
+
+#: The n = 2, beta = 1 eigenvalue series, transverse first: COUPLING is the last member.
+EIGEN_FAMILY = (
+    HypergeometricSeries((1.0, 1.5), (2.0, 3.0, 2.5)),
+    [HypergeometricSeries((1.0, 2.5, 1.5), (2.0, 1.5, 3.0, 2.5)), COUPLING],
+)
+
+
+class TestContiguousMembers:
+    @given(
+        family=contiguous_families(),
+        z=st.floats(min_value=0.0, max_value=60.0),
+        tol=st.sampled_from([1e-15, 1e-12, 1e-8]),
+    )
+    @example(family=EIGEN_FAMILY, z=COUPLING_ROOTS[0], tol=1e-12)
+    @example(family=EIGEN_FAMILY, z=COUPLING_ROOTS[1], tol=1e-12)
+    @example(family=EIGEN_FAMILY, z=COUPLING_ROOTS[2], tol=1e-12)
+    @settings(max_examples=150, deadline=None)
+    def test_each_estimate_bounds_error_vs_mpmath(self, family, z, tol):
+        # every member's error estimate, computed on its own weighted terms, is
+        # a true bound against mpmath's own summation at twice the working precision
+        base, members = family
+        for member, res in zip(members, eval_contiguous(base, members, z * z, tol)):
+            with mpmath.workprec(2 * res.precision_bits_used):
+                ref = mpmath.hyper(
+                    [mpmath.mpf(a) for a in member.numerator_params],
+                    [mpmath.mpf(b) for b in member.denominator_params],
+                    -mpmath.mpf(z * z),
+                )
+                assert abs(res.value - ref) <= res.abs_error_estimate, member
+
+    @pytest.mark.parametrize(
+        "base, member",
+        [
+            # 1.75 - 1.5 is not an integer
+            (EIGEN_FAMILY[0], HypergeometricSeries((1.75,), (2.0, 2.5))),
+            # a raised denominator divides the base term by a polynomial
+            (EIGEN_FAMILY[0], HypergeometricSeries((1.0, 1.5), (2.0, 4.0, 2.5))),
+            # the transverse series over the dyadic one divides by (2k + 3)
+            (EIGEN_FAMILY[1][0], EIGEN_FAMILY[0]),
+            # an extra denominator divides the base term by (0.5)_k
+            (EIGEN_FAMILY[0], HypergeometricSeries((1.0, 1.5), (2.0, 3.0, 2.5, 0.5))),
+            # the lower parameter of the pair, -0.5, is not > 0
+            (HypergeometricSeries((-0.5, 1.0), (2.0, 1.5)), HypergeometricSeries((0.5, 1.0), (2.0, 1.5))),
+        ],
+    )
+    def test_non_contiguous_member_rejected(self, base, member):
+        with pytest.raises(InvalidSeriesError):
+            eval_contiguous(base, [base, member], 4.0, 1e-12)
+
+    def test_identity_member_is_eval_pfq(self):
+        base = EIGEN_FAMILY[0]
+        for z in (0.0, 0.5, 7.0, 40.0):
+            fresh = HypergeometricSeries(base.numerator_params, base.denominator_params)
+            assert eval_contiguous(base, [base, fresh], z * z, 1e-12) == [eval_pfq(base, z * z, 1e-12)] * 2
+
+
 class TestRecurrenceConsistency:
     def test_entire_function_sanity(self):
         series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
@@ -384,6 +466,17 @@ class TestMemoisedRatios:
         for z in zs:
             got = outcome(eval_pfq, series, z * z, tol, **overrides)
             assert got == outcome(reference_eval_pfq, fresh, z * z, tol, **overrides)
+
+    def test_zero_terms_pass_the_truncation_test(self):
+        # Near a root of 1F2(2.25; 1.5, 3.25) (n = 1, beta = -1.5) the tail terms
+        # underflow to 0 while tol * |sum| is below one unit: only exact zeros
+        # pass the test, and the bit-length early reject must not refuse them.
+        series = HypergeometricSeries((2.25,), (1.5, 3.25))
+        z = 1.9819187543694081
+        for tol in (1e-15, 1e-12):
+            got = eval_pfq(series, z * z, tol)
+            assert got == reference_eval_pfq(HypergeometricSeries((2.25,), (1.5, 3.25)), z * z, tol)
+        assert got.terms_used < 30
 
     def test_memo_stays_out_of_equality_and_hash(self):
         used = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
