@@ -266,8 +266,9 @@ def separate_sum(params, nu, tol, part, **overrides):
         lambda11: (HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0)), -3.0 * mu * nu * nu),
         lambda12: (HypergeometricSeries((d.a,), (d.b, d.a + 1.0)), -(lam - mu) * nu * nu),
     }[part]
+    z = WaveNumber.of(params, nu).z
     try:
-        res = eval_pfq(series, WaveNumber.of(params, nu).z ** 2, tol, **overrides)
+        res = eval_pfq(series, z * z, tol, **overrides)
     except PrecisionExhaustedError as exc:
         return type(exc)
     value = prefactor * res.value * res.value if part is lambda12 else prefactor * res.value

@@ -297,6 +297,39 @@ class TestContiguousMembers:
         with pytest.raises(InvalidSeriesError):
             eval_contiguous(base, [base, member], 4.0, 1e-12)
 
+    def test_threads_sharing_one_family(self):
+        # Eight threads sum one fresh family at shuffled z, so they grow the
+        # base's ratio memo and the members' weight memos concurrently.
+        shape = (EIGEN_FAMILY[0], *EIGEN_FAMILY[1])
+        zs = [1.5 * k for k in range(1, 21)]
+        copies = [HypergeometricSeries(s.numerator_params, s.denominator_params) for s in shape]
+        ref = {z: eval_contiguous(copies[0], copies, z * z, 1e-12) for z in zs}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            family = [HypergeometricSeries(s.numerator_params, s.denominator_params) for s in shape]
+            barrier = threading.Barrier(8)
+            results = [[] for _ in range(8)]
+
+            def work(i):
+                order = list(zs)
+                random.Random(i).shuffle(order)
+                barrier.wait(timeout=30)
+                results[i] = [(z, eval_contiguous(family[0], family, z * z, 1e-12)) for z in order]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        for got in results:
+            assert len(got) == len(zs)
+            for z, res in got:
+                assert res == ref[z], z
+
     def test_identity_member_is_eval_pfq(self):
         base = EIGEN_FAMILY[0]
         for z in (0.0, 0.5, 7.0, 40.0):
