@@ -223,6 +223,7 @@ class TestErrorBound:
             )
             assert abs(res.value - ref) <= res.abs_error_estimate
 
+
 @st.composite
 def contiguous_families(draw):
     """A ``series_shapes`` base on a 2^-10 grid (so that adding an integer is
@@ -266,8 +267,8 @@ class TestContiguousMembers:
     @example(family=EIGEN_FAMILY, z=COUPLING_ROOTS[2], tol=1e-12)
     @settings(max_examples=150, deadline=None)
     def test_each_estimate_bounds_error_vs_mpmath(self, family, z, tol):
-        # every member's error estimate, computed on its own weighted terms, is
-        # a true bound against mpmath's own summation at twice the working precision
+        # every member's error estimate is a true bound, against mpmath's own
+        # summation at twice the working precision
         base, members = family
         for member, res in zip(members, eval_contiguous(base, members, z * z, tol)):
             with mpmath.workprec(2 * res.precision_bits_used):
