@@ -26,7 +26,6 @@ from .asymptotics import (
     error_envelope,
 )
 from .eigenvalues import (
-    EvalPolicy,
     SpectrumSample,
     eval_spectrum,
     lambda1,
@@ -54,7 +53,6 @@ __all__ = [
     "DerivedParams",
     "ErrorEnvelope",
     "EULER_GAMMA",
-    "EvalPolicy",
     "EvalResult",
     "GammaPoleError",
     "GrowthClass",

@@ -21,6 +21,11 @@ branch is used instead.
 The discarded oscillatory terms give the error envelopes: absolute error
 ~ C * z^(-(n+3)/2) for lambda2 and ~ C * z^(-(n+1)/2) for lambda11 (the
 dyadic part of lambda1), which is what the envelope-slope validation fits.
+
+``AsymptoticForms`` computes one material's branch and constants once, when
+it is built, for any number of wavenumbers.  ``asym_lambda2``,
+``asym_lambda11`` and ``asym_lambda1`` build one per call; ``asym_lambda12``
+needs only lambda12's coefficient.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .material import DerivedParams, MaterialParams, WaveNumber, derive
@@ -111,81 +115,63 @@ def _limit(params: MaterialParams, d: DerivedParams) -> float:
 class AsymptoticForms:
     """The large-z forms above for one material (beta < n+2).
 
-    Every z-independent constant (the branch, ``bounded_limit``, the
-    coefficient products and psi(b)) is computed once, by the first call that
-    needs it, so one object serves any number of wavenumbers.  A caller that
-    already holds ``derive(params)`` passes it as ``derived``.  The methods
+    The constructor picks the branch and computes its z-independent constants
+    (``bounded_limit`` and the coefficient products, or psi(b)) and lambda12's
+    coefficient, so one object serves any number of wavenumbers.  The methods
     take z = delta ||nu|| / 2 > 0 and evaluate each formula's floating-point
-    expression in its original order, so the doubles do not depend on
-    whether a constant was computed for this call or an earlier one.
+    expression in its original order.
     """
 
-    def __init__(self, params: MaterialParams, derived: Optional[DerivedParams] = None):
+    def __init__(self, params: MaterialParams):
         _require_subcritical(params)
-        self.params = params
-        if derived is not None:
-            self.derived = derived
-
-    @cached_property
-    def derived(self) -> DerivedParams:
-        return derive(self.params)
-
-    @cached_property
-    def branch(self) -> str:
-        """The ``AsymptoticBranch`` value these forms use."""
-        return branch_for(self.params).value
-
-    @cached_property
-    def _logarithmic(self) -> bool:
-        return self.branch == AsymptoticBranch.LOGARITHMIC.value
-
-    @cached_property
-    def _log_constants(self):
-        """-(4 mu a b / delta^2) and psi(b), the logarithmic branch's constants."""
-        p, d = self.params, self.derived
-        return -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
-
-    @cached_property
-    def _power_constants(self):
-        """bounded_limit and coeff * (prefactor / delta^2) of lambda2 and lambda11."""
-        p, d = self.params, self.derived
-        g_b, g_a, rg = gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
-        coeff2 = g_b * g_a * rg / (0.5 * (p.beta - p.n))
-        coeff11 = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
-        return _limit(p, d), coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
-
-    @cached_property
-    def _lambda12_scale(self) -> float:
-        p, d = self.params, self.derived
-        # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
-        coeff = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
-        return -(p.lambda_star - p.mu) * coeff * coeff * (4.0 / p.delta ** 2)
+        self.params = p = params
+        self.branch = branch_for(p).value  # the AsymptoticBranch value these forms use
+        self._logarithmic = self.branch == AsymptoticBranch.LOGARITHMIC.value
+        d = derive(p)
+        if self._logarithmic:  # -(4 mu a b / delta^2) and psi(b)
+            self._constants = -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
+        else:  # bounded_limit and coeff * (prefactor / delta^2) of lambda2 and lambda11
+            g_b, g_a, rg = gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
+            coeff2 = g_b * g_a * rg / (0.5 * (p.beta - p.n))
+            coeff11 = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
+            limit = _limit(p, d)
+            self._constants = limit, coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
+        self._lambda12_scale = _lambda12_scale(p, d)
 
     def lambda2(self, z: float) -> float:
         z = _positive(z)
         if self._logarithmic:
-            scale, psi = self._log_constants
+            scale, psi = self._constants
             return scale * (2.0 * math.log(z) + EULER_GAMMA - psi)
-        limit, scale, _ = self._power_constants
+        limit, scale, _ = self._constants
         return limit - scale * z ** (self.params.beta - self.params.n)
 
     def lambda11(self, z: float) -> float:
         z = _positive(z)
         if self._logarithmic:
-            scale, psi = self._log_constants
+            scale, psi = self._constants
             return scale * (2.0 * math.log(z) + EULER_GAMMA + 2.0 - psi)
-        limit, _, scale = self._power_constants
+        limit, _, scale = self._constants
         return limit - scale * z ** (self.params.beta - self.params.n)
 
     def lambda12(self, z: float) -> float:
-        z = _positive(z)
-        p = self.params
-        if p.lambda_star == p.mu:
-            return 0.0
-        return self._lambda12_scale * z ** (2.0 * (p.beta - (p.n + 1.0)))
+        return _lambda12(self.params, _positive(z), self._lambda12_scale)
 
     def lambda1(self, z: float) -> float:
         return self.lambda12(z) + self.lambda11(z)
+
+
+def _lambda12_scale(p: MaterialParams, d: DerivedParams) -> float:
+    # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
+    coeff = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
+    return -(p.lambda_star - p.mu) * coeff * coeff * (4.0 / p.delta ** 2)
+
+
+def _lambda12(p: MaterialParams, z: float, scale: Optional[float]) -> float:
+    """scale * z^(2(beta-n-1)), or exactly 0.0 at lambda* = mu, where ``scale`` is not needed."""
+    if p.lambda_star == p.mu:
+        return 0.0
+    return scale * z ** (2.0 * (p.beta - (p.n + 1.0)))
 
 
 def asym_lambda2(params: MaterialParams, nu_norm: float) -> float:
@@ -199,8 +185,12 @@ def asym_lambda11(params: MaterialParams, nu_norm: float) -> float:
 
 
 def asym_lambda12(params: MaterialParams, nu_norm: float) -> float:
+    """lambda12 alone needs neither the branch nor its constants, and at
+    lambda* = mu not even ``derive``, so it does not build ``AsymptoticForms``."""
     z = _z_of(params, nu_norm)
-    return AsymptoticForms(params).lambda12(z)
+    _require_subcritical(params)
+    scale = None if params.lambda_star == params.mu else _lambda12_scale(params, derive(params))
+    return _lambda12(params, z, scale)
 
 
 def asym_lambda1(params: MaterialParams, nu_norm: float) -> float:

@@ -16,12 +16,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from . import tables
-from .eigenvalues import EvalPolicy, MaterialParams, eval_spectrum
+from .eigenvalues import DEFAULT_TOL, DEFAULT_Z_SWITCH, MaterialParams, eval_spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -65,9 +66,9 @@ def _render_csv(columns, dict_rows: List[dict]) -> str:
 
 def cmd_eigs(args) -> int:
     params = _material(args)
-    policy = EvalPolicy(mode=args.policy, z_switch=args.z_switch)
+    z_switch = math.inf if args.policy == "series" else args.z_switch
     grid = tables.wavenumber_grid(args.nu_min, args.nu_max, args.points)
-    samples = eval_spectrum(params, grid, policy, args.tol)
+    samples = eval_spectrum(params, grid, z_switch, args.tol)
     _emit(tables.EIGS_COLUMNS, _rows_to_dicts(tables.EIGS_COLUMNS, samples), args.format, args.out)
     return EXIT_OK
 
@@ -141,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument("--nu-min", type=float, default=0.0)
     p_eigs.add_argument("--nu-max", type=float, default=30.0)
     p_eigs.add_argument("--points", type=int, default=1000)
-    p_eigs.add_argument("--tol", type=float, default=1e-10, help="relative tolerance of the series")
+    p_eigs.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tolerance of the series")
     p_eigs.add_argument("--policy", choices=("series", "hybrid"), default="hybrid")
-    p_eigs.add_argument("--z-switch", dest="z_switch", type=float, default=20.0)
+    p_eigs.add_argument("--z-switch", dest="z_switch", type=float, default=DEFAULT_Z_SWITCH)
     p_eigs.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eigs.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_eigs.set_defaults(func=cmd_eigs)
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--delta", type=float, default=None)
     p_fig.add_argument("--mu", type=float, default=1.0)
     p_fig.add_argument("--lambda-star", dest="lambda_star", type=float, default=2.0)
-    p_fig.add_argument("--tol", type=float, default=1e-10)
+    p_fig.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fig.add_argument("--out", default="-", help="file for a single panel, directory for the panel set")
     p_fig.set_defaults(func=cmd_figure)

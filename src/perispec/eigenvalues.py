@@ -15,7 +15,11 @@ with a = (n+2-beta)/2 and b = (n+2)/2.  At beta = n+2 the series collapse to
 to those of the classical Navier operator.  The series are contiguous: with
 v_k the k-th 2F3 term, the 3F4 term is v_k (2k+3)/3 and the 1F2 term is
 v_k (k+1)(b+k)/b.  So at one wavenumber every part comes from one walk of the
-2F3 terms, in ``hyper.eval_contiguous``, the one summation loop.
+2F3 terms, in ``hyper.eval_contiguous``, the one summation loop, which takes
+the two polynomials (2k+3) and (k+1)(b+k) as stated here.
+
+``eval_spectrum`` takes the series up to ``z_switch`` and the closed-form
+asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
 """
 
 from __future__ import annotations
@@ -30,29 +34,6 @@ from .material import DerivedParams, MaterialParams, WaveNumber, derive  # re-ex
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Spectrum evaluation policy: exact series everywhere, or series up to
-    z_switch and the closed-form asymptotics beyond."""
-
-    mode: str
-    z_switch: float = DEFAULT_Z_SWITCH
-
-    def __post_init__(self):
-        if self.mode not in ("series", "hybrid"):
-            raise ValueError(f"policy mode must be 'series' or 'hybrid', got {self.mode!r}")
-        if not (self.z_switch > 0):
-            raise ValueError(f"z_switch must be > 0, got {self.z_switch}")
-
-    @classmethod
-    def series_only(cls) -> "EvalPolicy":
-        return cls(mode="series")
-
-    @classmethod
-    def hybrid(cls, z_switch: float = DEFAULT_Z_SWITCH) -> "EvalPolicy":
-        return cls(mode="hybrid", z_switch=z_switch)
 
 
 @dataclass(frozen=True)
@@ -93,30 +74,21 @@ def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
 
 class _Plan:
     """The z-independent work of one material, done once for any number of
-    wavenumbers: ``derive`` and the transverse series, then the other two
-    series and the asymptotic constants on first use.  The series keep their
-    memos of term ratios and weights, so every wavenumber evaluated through
-    one plan reuses what the earlier ones computed."""
+    wavenumbers: ``derive``, the transverse series and the weights of the
+    other two series, then the asymptotic constants on first use.  The series
+    keeps its memos of term ratios and weight values, so every wavenumber
+    evaluated through one plan reuses what the earlier ones computed."""
 
     def __init__(self, params: MaterialParams):
         self.params = params
-        self.derived: DerivedParams = derive(params)
-        d = self.derived
+        d = derive(params)
         self.transverse = HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
-
-    @cached_property
-    def dyadic(self) -> HypergeometricSeries:
-        d = self.derived
-        return HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0))
-
-    @cached_property
-    def coupling(self) -> HypergeometricSeries:
-        d = self.derived
-        return HypergeometricSeries((d.a,), (d.b, d.a + 1.0))
+        # W(k) of each series over the transverse terms: (2k+3) for the 3F4, (k+1)(b+k) for the 1F2
+        self.weights = {"transverse": (), "dyadic": ((3, 2),), "coupling": ((1, 1), d.b.as_integer_ratio())}
 
     @cached_property
     def forms(self) -> AsymptoticForms:
-        return AsymptoticForms(self.params, self.derived)
+        return AsymptoticForms(self.params)
 
     def lambdas(self, w: WaveNumber, tol: float, series: Sequence[str], **kwargs) -> List[EvalResult]:
         """lambda2, lambda11 or lambda12 at one wavenumber for each of the
@@ -129,8 +101,8 @@ class _Plan:
             live = [name for name in live if name != "coupling"]
         sums = {}
         if live:
-            members = [getattr(self, name) for name in live]
-            sums = dict(zip(live, eval_contiguous(self.transverse, members, w.z * w.z, tol, **kwargs)))
+            weights = [self.weights[name] for name in live]
+            sums = dict(zip(live, eval_contiguous(self.transverse, weights, w.z * w.z, tol, **kwargs)))
         out = []
         for name in series:
             res = sums.get(name)
@@ -189,31 +161,31 @@ def navier_eigenvalues(params: MaterialParams, nu_norm: float):
 def eval_spectrum(
     params: MaterialParams,
     grid: Sequence[float],
-    policy: Optional[EvalPolicy] = None,
+    z_switch: float = DEFAULT_Z_SWITCH,
     tol: float = DEFAULT_TOL,
 ) -> List[SpectrumSample]:
     """Evaluate the spectrum at each nonnegative wavenumber of ``grid``, in
     the caller's order.
 
-    Under the hybrid policy, points with z above the switch use the
-    closed-form large-z approximations for the lambda columns; the sample
-    records which path was taken.  The asym1/asym2 companions are filled for
-    every nu > 0 with beta < n+2 regardless of policy.  The material's
-    z-independent work (series, term ratios, asymptotic constants) is done
-    once for the whole grid.  ``tol`` is checked up front, even when every
-    row takes the asymptotic path.
+    Points with z above ``z_switch`` use the closed-form large-z
+    approximations for the lambda columns, and the sample records which path
+    was taken; ``z_switch = math.inf`` keeps every point on the exact series.
+    The asym1/asym2 companions are filled for every nu > 0 with beta < n+2
+    regardless of the switch.  The material's z-independent work (series,
+    term ratios, asymptotic constants) is done once for the whole grid.
+    ``z_switch`` and ``tol`` are checked up front, even when no row uses them.
     """
-    if policy is None:
-        policy = EvalPolicy.hybrid()
+    if not (z_switch > 0):
+        raise ValueError(f"z_switch must be > 0, got {z_switch}")
     waves = [WaveNumber.of(params, float(nu)) for nu in grid]
     check_target_rel_err(tol)
 
     plan = _Plan(params)
-    forms = plan.forms if params.beta < params.n + 2 else None
-    hybrid = policy.mode == "hybrid" and forms is not None
+    subcritical = params.beta < params.n + 2
     samples = []
     for w in waves:
-        if hybrid and w.z > policy.z_switch:
+        forms = plan.forms if subcritical and w.nu_norm > 0.0 else None  # built at the first nu > 0
+        if forms is not None and w.z > z_switch:
             l11 = forms.lambda11(w.z)
             l12 = forms.lambda12(w.z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
@@ -232,7 +204,7 @@ def eval_spectrum(
                 )
             )
         else:
-            if w.nu_norm > 0.0 and forms is not None:
+            if forms is not None:
                 asym1 = forms.lambda1(w.z)
                 asym2 = forms.lambda2(w.z)
                 branch = forms.branch

@@ -9,13 +9,13 @@ dyadic rationals: a term step is one integer multiply and one floor division
 each sum is rounded to double once, with an explicit error estimate.
 
 ``eval_contiguous`` is the one summation loop.  It walks the terms t_k of a
-base series once and sums each contiguous member, whose k-th term is
-t_k W(k) / W(0) for an integer polynomial W: with t_k the term of
+base series once and sums t_k W(k) / W(0) for each weight the caller states,
+W(k) a product of integer linear factors: with t_k the term of
 2F3(1, a; 2, b+1, a+1), the 3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is
 t_k (2k+3)/3 and the 1F2(a; b, a+1) term is t_k (k+1)(b+k)/b.  ``eval_pfq``
-is its one-member case.  The z-independent term ratios and weights are
-memoised on the series objects (not process-wide) up to the highest term any
-sum reached.  ``eval_pfq_float64`` is the deliberately naive
+is its one-weight case, W = 1.  The z-independent term ratios and weight
+values are memoised on the base series (not process-wide) up to the highest
+term any sum reached.  ``eval_pfq_float64`` is the deliberately naive
 double-precision summation kept to demonstrate (and regression-test) why the
 fixed-point path exists.
 """
@@ -39,7 +39,7 @@ MIN_TERM_CAP = 10_000
 
 DOUBLE_BITS = 53
 
-#: Most base terms ``eval_contiguous`` makes per pass over its members.
+#: Most base terms ``eval_contiguous`` makes per pass over its weighted sums.
 _CHUNK = 16
 
 _LOG2_E = math.log2(math.e)
@@ -82,8 +82,8 @@ class HypergeometricSeries:
     """A pFq specification: numerator a_1..a_p and denominator b_1..b_q.
 
     Outside its two fields, and so outside equality and hashing, the object
-    keeps the memos of z-independent term ratios, and of its weights as a
-    member, that ``eval_contiguous`` fills.
+    keeps the memos of z-independent term ratios and weight values that
+    ``eval_contiguous`` fills.
     """
 
     numerator_params: tuple
@@ -104,8 +104,8 @@ class HypergeometricSeries:
         int_dens = tuple(map(float.as_integer_ratio, dens))
         scales = math.prod(map(itemgetter(1), int_dens)), math.prod(map(itemgetter(1), int_nums))
         # Set in the instance dict, as the fields are frozen.  Memos (see eval_contiguous): term ratios
-        # ([num_0, ...], [den_0, ...]) and the weights (base, factors, [W(0), ...]) on the last base.
-        vars(self).update(numerator_params=nums, denominator_params=dens, _ratios=([], []), _weights=None)
+        # ([num_0, ...], [den_0, ...]) and {factors: [W(0), W(1), ...]} for each weight summed.
+        vars(self).update(numerator_params=nums, denominator_params=dens, _ratios=([], []), _weights={})
         vars(self)["_integer_params"] = (int_nums, int_dens + ((1, 1),)) + scales
 
 
@@ -125,35 +125,6 @@ class EvalResult:
             raise ValueError("abs_error_estimate must be >= 0")
 
 
-def _weight_factors(base: HypergeometricSeries, member: HypergeometricSeries) -> tuple:
-    """Linear factors (p, q) of W(k) = prod (p + k q), t_k(member) = t_k(base) W(k) / W(0).
-
-    After equal parameters cancel, the member's term over the base's is a product of
-    (t)_k / (s)_k, each needing t = s + m for an integer m >= 1 and s = p/q > 0: then it
-    is prod_{i<m} (p + i q + k q) / (p + i q).  Anything else raises ``InvalidSeriesError``."""
-    lower = [*member.denominator_params, *base.numerator_params]
-    upper = []
-    for x in member.numerator_params + base.denominator_params:
-        if x in lower:
-            lower.remove(x)
-        else:
-            upper.append(x)
-    if len(upper) > 1:  # paired in order within each residue class mod 1: t > s if any pairing has it
-        upper.sort(key=lambda x: (x % 1.0, x))
-        lower.sort(key=lambda x: (x % 1.0, x))
-    factors = []
-    for t, s in zip(upper, lower):
-        (tp, tq), (p, q) = t.as_integer_ratio(), s.as_integer_ratio()
-        m, rem = divmod(tp * q - p * tq, tq * q)  # t - s = m exactly iff rem == 0
-        if s <= 0.0 or rem or m < 1:
-            break
-        factors.extend((p + i * q, q) for i in range(m))
-    else:
-        if len(upper) == len(lower):
-            return tuple(factors)
-    raise InvalidSeriesError(f"{member} is not a contiguous member of {base}")
-
-
 def _products(scale: int, factors: tuple, start: int, stop: int) -> Iterator[int]:
     """scale * prod(p + k q for (p, q) in factors) for k in range(start, stop)."""
     values = repeat(scale, stop - start)
@@ -163,22 +134,22 @@ def _products(scale: int, factors: tuple, start: int, stop: int) -> Iterator[int
 
 
 def eval_contiguous(
-    base: HypergeometricSeries, members: Sequence[HypergeometricSeries], z_sq: float,
+    base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
     target_rel_err: float = 1e-12, *, bits: Optional[int] = None, max_terms: Optional[int] = None,
 ) -> List[EvalResult]:
-    """Sum each member series at -z_sq from one walk of the base's terms.
+    """Sum t_k W(k) / W(0) at -z_sq for each weight W, from one walk of the base terms t_k.
 
-    Base terms t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are
-    integers scaled by 2^bits, ``bits = required_bits(sqrt(z_sq))`` unless
-    overridden.  A member's term is t_k W(k) / D, D = W(0) (``_weight_factors``).
-    Each member keeps its own sum of t_k W(k), peak, term count and error
-    estimate; D enters once, in the final rounding.  A sum stops at three
+    A weight is a tuple of integer factors (p, q), p > 0 and q >= 0, with
+    W(k) = prod(p + k q); ``()`` sums the base itself.  Base terms
+    t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are integers
+    scaled by 2^bits, ``bits = required_bits(sqrt(z_sq))`` unless overridden.
+    Each weight keeps its own sum of t_k W(k), peak, term count and error
+    estimate; D = W(0) enters once, in the final rounding.  A sum stops at three
     consecutive terms with |term| < target_rel_err |sum| *after* the peak term
     (before it, a small term of an alternating series proves nothing).
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
-    ``MAX_PRECISION_BITS`` or the term budget runs out, and
-    ``InvalidSeriesError`` for a member not contiguous to the base.
+    ``MAX_PRECISION_BITS`` or the term budget runs out.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -197,10 +168,11 @@ def eval_contiguous(
 
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
-    # (k+1) prod(p_b + k q_b).  The base memoises them, each member its W(k); the
+    # (k+1) prod(p_b + k q_b).  The base memoises them and each weight's W(k); the
     # sum extends private copies of the memo lists and publishes them if longer.
     nums, dens, num_scale, den_scale = base._integer_params
     ratio_nums, ratio_dens = map(list, base._ratios)
+    memo = base._weights
     zp, zq = z_sq.as_integer_ratio()
     mzp = -zp
     tol_p, tol_q = target_rel_err.as_integer_ratio()
@@ -208,18 +180,13 @@ def eval_contiguous(
     reject_bits = tol_p.bit_length() - tol_q.bit_length() + 2
 
     one = 1 << bits
-    # Per member, scaled by D 2^bits: [(factors, W memo) or None, sum, previous
+    # Per weight, scaled by D 2^bits: [(factors, W values) or None, sum, previous
     # |term|, peak |term|, past peak, small terms in a row, terms used, last |term|, D 2^bits]
     states = []
-    for member in members:
+    for factors in weights:
         weight = None
-        if member is not base:
-            entry = member._weights
-            if entry is None or entry[0] is not base:
-                factors = _weight_factors(base, member)
-                entry = (base, factors, [math.prod(map(itemgetter(0), factors))])
-                object.__setattr__(member, "_weights", entry)
-            weight = (entry[1], list(entry[2])) if entry[1] else None
+        if factors:  # the memo's values, or just W(0)
+            weight = (factors, list(memo.get(factors) or [math.prod(map(itemgetter(0), factors))]))
         t0 = one if weight is None else one * weight[1][0]
         states.append([weight, t0, t0, t0, False, 0, 0, None, t0])
     active = states
@@ -291,11 +258,13 @@ def eval_contiguous(
                 st[6] = k + 1
             break
 
+    # one assignment each: readers see the old memo or the new one
     if len(ratio_nums) > len(base._ratios[0]):
-        object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))  # one assignment: readers see old or new
-    for member, st in zip(members, states):
-        if st[0] is not None and len(st[0][1]) > len(member._weights[2]):
-            object.__setattr__(member, "_weights", (base, *st[0]))
+        object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))
+    memo = base._weights
+    grown = {f: values for f, values in (st[0] for st in states if st[0]) if len(values) > len(memo.get(f, ()))}
+    if grown:
+        object.__setattr__(base, "_weights", {**memo, **grown})
 
     out = []
     for weight, total, _, peak_mag, _, _, terms_used, last_mag, scale in states:
@@ -312,9 +281,9 @@ def eval_contiguous(
 def eval_pfq(
     series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12, **overrides
 ) -> EvalResult:
-    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq): ``eval_contiguous`` with the series
-    as base and only member, taking the same ``bits``/``max_terms`` overrides."""
-    return eval_contiguous(series, (series,), z_sq, target_rel_err, **overrides)[0]
+    """Sum pFq(a_1..a_p; b_1..b_q; -z_sq): ``eval_contiguous`` of the series
+    with the one weight W = 1, taking the same ``bits``/``max_terms`` overrides."""
+    return eval_contiguous(series, ((),), z_sq, target_rel_err, **overrides)[0]
 
 
 def eval_pfq_float64(series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12) -> float:

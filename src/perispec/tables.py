@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from .eigenvalues import DEFAULT_TOL, EvalPolicy, MaterialParams, SpectrumSample, eval_spectrum
+from .eigenvalues import DEFAULT_TOL, MaterialParams, SpectrumSample, eval_spectrum
 
 EIGS_COLUMNS = ("nu_norm", "lambda1", "lambda2", "lambda11", "lambda12")
 FIGURE_COLUMNS = (
@@ -66,7 +66,7 @@ def figure_table(
     at nu = 0 where log z and the negative powers are undefined.
     """
     params = MaterialParams(n=dim, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
-    return eval_spectrum(params, wavenumber_grid(0.0, nu_max, points), EvalPolicy.series_only(), tol)
+    return eval_spectrum(params, wavenumber_grid(0.0, nu_max, points), math.inf, tol)
 
 
 def default_panels(dim: int, beta: Optional[float] = None, delta: Optional[float] = None):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from perispec.eigenvalues import (
-    EvalPolicy,
     MaterialParams,
     WaveNumber,
     derive,
@@ -216,14 +215,17 @@ class TestEvalSpectrum:
             eval_spectrum(params_for(3, 2.0), [-1.0])
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            EvalPolicy(mode="magic")
-        with pytest.raises(ValueError):
-            EvalPolicy(mode="hybrid", z_switch=0.0)
+        p = params_for(3, 2.0, delta=2.0)
+        for z_switch in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                eval_spectrum(p, [1.0], z_switch)
+        with pytest.raises(ValueError):  # checked even when no row would use it
+            eval_spectrum(p, [], 0.0)
+        assert [s.method for s in eval_spectrum(p, [1.0, 30.0], math.inf)] == ["series", "series"]
 
     def test_hybrid_switches_paths(self):
         p = params_for(3, 2.0, delta=2.0)
-        samples = eval_spectrum(p, [1.0, 30.0], EvalPolicy.hybrid(z_switch=20.0))
+        samples = eval_spectrum(p, [1.0, 30.0], z_switch=20.0)
         assert samples[0].method == "series"  # z = 1
         assert samples[1].method == "asymptotic"  # z = 30
         # the asymptotic path still additively splits lambda1
@@ -231,7 +233,7 @@ class TestEvalSpectrum:
 
     def test_series_only_never_switches(self):
         p = params_for(3, 2.0, delta=2.0)
-        samples = eval_spectrum(p, [30.0], EvalPolicy.series_only())
+        samples = eval_spectrum(p, [30.0], math.inf)
         assert samples[0].method == "series"
 
     def test_deterministic(self):
@@ -304,7 +306,7 @@ class TestOneWalkPerPoint:
     @pytest.mark.parametrize("params", CONTIGUOUS_MATERIALS)
     @pytest.mark.parametrize("tol", [1e-15, 1e-10])
     def test_rows_and_wrappers_equal_separate_sums(self, params, tol):
-        rows = eval_spectrum(params, self.GRID, EvalPolicy.series_only(), tol)
+        rows = eval_spectrum(params, self.GRID, math.inf, tol)
         for row in rows:
             want = [separate_sum(params, row.nu_norm, tol, part) for part in (lambda2, lambda11, lambda12)]
             assert [row.lambda2, row.lambda11, row.lambda12] == [v for v, _ in want]

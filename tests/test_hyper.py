@@ -226,34 +226,34 @@ class TestErrorBound:
 
 @st.composite
 def contiguous_families(draw):
-    """A ``series_shapes`` base on a 2^-10 grid (so that adding an integer is
-    exact) and 1-3 members made from it by raising numerator parameters and
-    lowering denominator parameters by integers (staying > 0), sometimes with
-    an added (c + m; c) pair, as the dyadic series adds (5/2; 3/2)."""
+    """A ``series_shapes`` base on a 2^-10 grid and 1-3 weights for it, each
+    of 0-2 linear factors (p, q).  Some take s = p/q from the base's own
+    parameters, as the coupling weight's (1, 1) raises the numerator 1 to 2;
+    others are arbitrary, as the dyadic weight (3, 2) adds the pair (5/2; 3/2)."""
     shape = draw(series_shapes())
     grid = lambda x: max(round(x * 1024), 1) / 1024  # noqa: E731
     base = HypergeometricSeries(tuple(map(grid, shape.numerator_params)), tuple(map(grid, shape.denominator_params)))
-    members = [base]
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        nums = [a + draw(st.integers(0, 2)) for a in base.numerator_params]
-        dens = []
-        for b in base.denominator_params:
-            m = draw(st.integers(0, 2))
-            dens.append(b - m if b - m > 0 else b)
-        if draw(st.booleans()):
-            c = grid(draw(st.floats(min_value=0.25, max_value=4.0)))
-            m = draw(st.integers(1, 2))
-            nums.append(c + m)
-            dens.append(c)
-        members.append(HypergeometricSeries(tuple(nums), tuple(dens)))
-    return base, members
+    own = [x.as_integer_ratio() for x in base.numerator_params + base.denominator_params]
+    factor = st.one_of(st.sampled_from(own), st.tuples(st.integers(1, 40), st.integers(1, 8)))
+    weights = draw(st.lists(st.lists(factor, max_size=2).map(tuple), min_size=1, max_size=3))
+    return base, weights
 
 
-#: The n = 2, beta = 1 eigenvalue series, transverse first: COUPLING is the last member.
-EIGEN_FAMILY = (
-    HypergeometricSeries((1.0, 1.5), (2.0, 3.0, 2.5)),
-    [HypergeometricSeries((1.0, 2.5, 1.5), (2.0, 1.5, 3.0, 2.5)), COUPLING],
-)
+def member_series(base, weights):
+    """The series whose terms are the base's times W(k) / W(0): one extra
+    (s + 1; s) pair, s = p/q, per factor, as exact mpmath parameters."""
+    nums = [mpmath.mpf(a) for a in base.numerator_params]
+    dens = [mpmath.mpf(b) for b in base.denominator_params]
+    for p, q in weights:
+        s = mpmath.mpf(p) / q
+        nums.append(s + 1)
+        dens.append(s)
+    return nums, dens
+
+
+#: The n = 2, beta = 1 transverse series and its dyadic and coupling weights,
+#: (2k+3) and (k+1)(k+2); the coupling weight's member series is COUPLING.
+EIGEN_FAMILY = (HypergeometricSeries((1.0, 1.5), (2.0, 3.0, 2.5)), [((3, 2),), ((1, 1), (2, 1))])
 
 
 class TestContiguousMembers:
@@ -267,48 +267,26 @@ class TestContiguousMembers:
     @example(family=EIGEN_FAMILY, z=COUPLING_ROOTS[2], tol=1e-12)
     @settings(max_examples=150, deadline=None)
     def test_each_estimate_bounds_error_vs_mpmath(self, family, z, tol):
-        # every member's error estimate is a true bound, against mpmath's own
-        # summation at twice the working precision
-        base, members = family
-        for member, res in zip(members, eval_contiguous(base, members, z * z, tol)):
+        # every weighted sum's error estimate is a true bound, against mpmath's
+        # own summation of the member series at twice the working precision
+        base, weights = family
+        for factors, res in zip(weights, eval_contiguous(base, weights, z * z, tol)):
             with mpmath.workprec(2 * res.precision_bits_used):
-                ref = mpmath.hyper(
-                    [mpmath.mpf(a) for a in member.numerator_params],
-                    [mpmath.mpf(b) for b in member.denominator_params],
-                    -mpmath.mpf(z * z),
-                )
-                assert abs(res.value - ref) <= res.abs_error_estimate, member
-
-    @pytest.mark.parametrize(
-        "base, member",
-        [
-            # 1.75 - 1.5 is not an integer
-            (EIGEN_FAMILY[0], HypergeometricSeries((1.75,), (2.0, 2.5))),
-            # a raised denominator divides the base term by a polynomial
-            (EIGEN_FAMILY[0], HypergeometricSeries((1.0, 1.5), (2.0, 4.0, 2.5))),
-            # the transverse series over the dyadic one divides by (2k + 3)
-            (EIGEN_FAMILY[1][0], EIGEN_FAMILY[0]),
-            # an extra denominator divides the base term by (0.5)_k
-            (EIGEN_FAMILY[0], HypergeometricSeries((1.0, 1.5), (2.0, 3.0, 2.5, 0.5))),
-            # the lower parameter of the pair, -0.5, is not > 0
-            (HypergeometricSeries((-0.5, 1.0), (2.0, 1.5)), HypergeometricSeries((0.5, 1.0), (2.0, 1.5))),
-        ],
-    )
-    def test_non_contiguous_member_rejected(self, base, member):
-        with pytest.raises(InvalidSeriesError):
-            eval_contiguous(base, [base, member], 4.0, 1e-12)
+                ref = mpmath.hyper(*member_series(base, factors), -mpmath.mpf(z * z))
+                assert abs(res.value - ref) <= res.abs_error_estimate, factors
 
     def test_threads_sharing_one_family(self):
-        # Eight threads sum one fresh family at shuffled z, so they grow the
-        # base's ratio memo and the members' weight memos concurrently.
-        shape = (EIGEN_FAMILY[0], *EIGEN_FAMILY[1])
+        # Eight threads sum one fresh base with three weights at shuffled z, so
+        # they grow its ratio memo and its factor-keyed weight memo concurrently.
+        base, weights = EIGEN_FAMILY
+        weights = [(), *weights]
         zs = [1.5 * k for k in range(1, 21)]
-        copies = [HypergeometricSeries(s.numerator_params, s.denominator_params) for s in shape]
-        ref = {z: eval_contiguous(copies[0], copies, z * z, 1e-12) for z in zs}
+        copy = HypergeometricSeries(base.numerator_params, base.denominator_params)
+        ref = {z: eval_contiguous(copy, weights, z * z, 1e-12) for z in zs}
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            family = [HypergeometricSeries(s.numerator_params, s.denominator_params) for s in shape]
+            shared = HypergeometricSeries(base.numerator_params, base.denominator_params)
             barrier = threading.Barrier(8)
             results = [[] for _ in range(8)]
 
@@ -316,7 +294,7 @@ class TestContiguousMembers:
                 order = list(zs)
                 random.Random(i).shuffle(order)
                 barrier.wait(timeout=30)
-                results[i] = [(z, eval_contiguous(family[0], family, z * z, 1e-12)) for z in order]
+                results[i] = [(z, eval_contiguous(shared, weights, z * z, 1e-12)) for z in order]
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
             for t in threads:
@@ -330,12 +308,12 @@ class TestContiguousMembers:
             assert len(got) == len(zs)
             for z, res in got:
                 assert res == ref[z], z
+        assert set(shared._weights) == {factors for factors in weights if factors}
 
     def test_identity_member_is_eval_pfq(self):
         base = EIGEN_FAMILY[0]
         for z in (0.0, 0.5, 7.0, 40.0):
-            fresh = HypergeometricSeries(base.numerator_params, base.denominator_params)
-            assert eval_contiguous(base, [base, fresh], z * z, 1e-12) == [eval_pfq(base, z * z, 1e-12)] * 2
+            assert eval_contiguous(base, [(), ()], z * z, 1e-12) == [eval_pfq(base, z * z, 1e-12)] * 2
 
 
 class TestRecurrenceConsistency:
