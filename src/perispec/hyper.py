@@ -2,11 +2,15 @@
 
 For p <= q these series are entire, but at large z they are dominated by
 catastrophic cancellation: the terms peak near e^(2z) while the sum is O(1).
-So they are summed in binary fixed point, every term an integer scaled by
-2^bits (``required_bits``).  Parameters and z^2 are doubles, hence exact
-dyadic rationals: a term step is one integer multiply and one floor division
-(error below 2^-bits), the truncation test is an exact integer comparison, and
-each sum is rounded to double once, with an explicit error estimate.
+So they are summed in binary fixed point, every term an integer count of
+one unit, 2^-bits at first (``required_bits``).  Parameters and z^2 are
+doubles, hence exact dyadic rationals: a term step is one integer multiply and
+one floor division (error below one unit), the truncation test is an exact
+integer comparison, and each sum is rounded to double once, with an explicit
+error estimate.  Floor errors reach a term amplified to about |t_k| 2^-bits,
+so its low bits carry nothing: once the terms outgrow bits by 2
+``_GUARD_BITS``, the walk coarsens its unit, and no integer in it gets much
+wider than that, where the peak terms would otherwise be 2 bits wide.
 
 ``eval_contiguous`` is the one summation loop.  It walks the terms t_k of a
 base series once and sums t_k W(k) / W(0) for each weight the caller states,
@@ -41,6 +45,10 @@ DOUBLE_BITS = 53
 
 #: Most base terms ``eval_contiguous`` makes per pass over its weighted sums.
 _CHUNK = 16
+
+#: Bits a base term keeps past ``bits`` when the walk coarsens its unit, which it
+#: does once a term carries twice as many.
+_GUARD_BITS = 64
 
 _LOG2_E = math.log2(math.e)
 
@@ -141,12 +149,28 @@ def eval_contiguous(
 
     A weight is a tuple of integer factors (p, q), p > 0 and q >= 0, with
     W(k) = prod(p + k q); ``()`` sums the base itself.  Base terms
-    t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are integers
-    scaled by 2^bits, ``bits = required_bits(sqrt(z_sq))`` unless overridden.
-    Each weight keeps its own sum of t_k W(k), peak, term count and error
-    estimate; D = W(0) enters once, in the final rounding.  A sum stops at three
-    consecutive terms with |term| < target_rel_err |sum| *after* the peak term
-    (before it, a small term of an alternating series proves nothing).
+    t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are integer
+    counts of a unit u = 2^(shift - bits), ``bits = required_bits(sqrt(z_sq))``
+    unless overridden.  Each weight keeps its own sum of t_k W(k), peak, term
+    count and error estimate; D = W(0) enters once, in the final rounding, a
+    division by D 2^(bits - shift).  A sum stops at three consecutive terms with
+    |term| < target_rel_err |sum| *after* the peak term (before it, a small
+    term of an alternating series proves nothing).
+
+    The shift starts at 0.  A base term wider than bits + 2G bits, G =
+    ``_GUARD_BITS``, ends its chunk; once the live sums have added it, the
+    term, each live sum and its previous and peak magnitudes are shifted right
+    until the term is bits + G bits wide, and the shift grows by as much.  So
+    the rule follows the walk alone, not the chunk sizes.
+
+    Rounding: a term step floors below one unit, and later steps scale that
+    error with the terms.  The estimate charges peak 2^(1-bits) for each term,
+    and two more, as at the finest unit 2^-bits.  A coarser unit stays within
+    that charge: a rescale at t_k leaves the term at least 2^(bits+G-1) units,
+    so one unit is at most |t_k| 2^(1-bits-G) <= 2 peak 2^-bits.  ``peak`` and
+    a member's W(last) floor are read in the final unit.  Each rescale also
+    floors every live sum, by under one unit; the estimate adds one unit per
+    rescale a sum went through.
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
     ``MAX_PRECISION_BITS`` or the term budget runs out.
@@ -180,15 +204,18 @@ def eval_contiguous(
     reject_bits = tol_p.bit_length() - tol_q.bit_length() + 2
 
     one = 1 << bits
-    # Per weight, scaled by D 2^bits: [(factors, W values) or None, sum, previous
-    # |term|, peak |term|, past peak, small terms in a row, terms used, last |term|, D 2^bits]
+    limit = bits + 2 * _GUARD_BITS
+    shift = rescales = 0
+    # Per weight, scaled by D / u: [(factors, W values) or None, sum, previous |term|,
+    # peak |term|, past peak, small terms in a row, terms used, last |term|, D 2^bits,
+    # the walk's shift and rescale count when the sum last took part in a rescale]
     states = []
     for factors in weights:
         weight = None
         if factors:  # the memo's values, or just W(0)
             weight = (factors, list(memo.get(factors) or [math.prod(map(itemgetter(0), factors))]))
         t0 = one if weight is None else one * weight[1][0]
-        states.append([weight, t0, t0, t0, False, 0, 0, None, t0])
+        states.append([weight, t0, t0, t0, False, 0, 0, None, t0, 0, 0])
     active = states
     term = one
     k = 0  # term steps taken: the walk holds t_0 .. t_k
@@ -213,13 +240,15 @@ def eval_contiguous(
                 break
             term = term * num // (den * zq)
             chunk.append(term)
+            if term.bit_length() > limit:  # the sums add it, then the unit coarsens
+                break
         k = first + len(chunk)
         # The next chunk ends about where the last sum can stop, so a cold memo is not
         # extended far past it: a sum's excess bits over its threshold, at the base's rate.
         drop = chunk[-2].bit_length() - term.bit_length() if len(chunk) > 1 else 0
         size = 1
         for st in active:
-            weight, total, prev_mag, peak_mag, past_peak, small, _, _, _ = st
+            weight, total, prev_mag, peak_mag, past_peak, small, _, _, _, _, _ = st
             xs = chunk
             if weight is not None:
                 factors, values = weight
@@ -257,6 +286,14 @@ def eval_contiguous(
             for st in active:
                 st[6] = k + 1
             break
+        cut = term.bit_length() - bits - _GUARD_BITS
+        if cut > _GUARD_BITS:  # a unit 2^cut times coarser
+            shift += cut
+            rescales += 1
+            term >>= cut
+            for st in active:
+                st[1:4] = st[1] >> cut, st[2] >> cut, st[3] >> cut
+                st[9:] = shift, rescales
 
     # one assignment each: readers see the old memo or the new one
     if len(ratio_nums) > len(base._ratios[0]):
@@ -267,13 +304,14 @@ def eval_contiguous(
         object.__setattr__(base, "_weights", {**memo, **grown})
 
     out = []
-    for weight, total, _, peak_mag, _, _, terms_used, last_mag, scale in states:
-        value = total / scale  # int / int: one correct rounding to double
+    for weight, total, _, peak_mag, _, _, terms_used, last_mag, scale, shift, rescales in states:
+        value = (total << shift) / scale  # int / int: one correct rounding to double
         if weight is not None:  # a tail term carries the base's floor errors, times W(k) <= W(last)
             peak_mag = max(peak_mag, weight[1][terms_used - 1] * one)
-        abs_err = peak_mag * (terms_used + 2) / (scale << (bits - 1))  # peak * 2^(1-bits) * (terms+2)
+        # (peak * 2^(1-bits) * (terms+2) + rescales) units
+        abs_err = ((peak_mag * (terms_used + 2) + (rescales << (bits - 1))) << shift) / (scale << (bits - 1))
         if last_mag is not None:
-            abs_err = target_rel_err * abs(value) + last_mag / scale + abs_err
+            abs_err = target_rel_err * abs(value) + (last_mag << shift) / scale + abs_err
         out.append(EvalResult(value, abs_err, terms_used, bits))
     return out
 

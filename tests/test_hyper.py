@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perispec.hyper import (
+    _GUARD_BITS,
     _REL_ERR_RANGE,
     DOUBLE_BITS,
     MAX_PRECISION_BITS,
@@ -353,6 +354,10 @@ def reference_eval_pfq(
 
     It recomputes every ratio from the series parameters on every call, so
     ``eval_pfq`` must return an equal ``EvalResult`` whatever its memo holds.
+    It coarsens its unit by the same rule, term by term: once a term is more
+    than 2 _GUARD_BITS wider than bits and has been summed, the term, the sum
+    and its magnitudes are shifted right until the term is bits + _GUARD_BITS
+    bits wide.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -388,6 +393,8 @@ def reference_eval_pfq(
     consecutive_small = 0
     terms_used = 1
     last_mag = 0
+    shift = 0
+    rescales = 0
 
     for k in range(cap):
         num = num_scale
@@ -415,15 +422,24 @@ def reference_eval_pfq(
                 break
         else:
             consecutive_small = 0
+        cut = term.bit_length() - bits - _GUARD_BITS
+        if cut > _GUARD_BITS:
+            shift += cut
+            rescales += 1
+            term >>= cut
+            total >>= cut
+            prev_mag >>= cut
+            peak_mag >>= cut
     else:
         raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
 
-    value = total / one
-    rounding = peak_mag * (terms_used + 2) / (1 << (2 * bits - 1))
+    value = (total << shift) / one
+    # peak * 2^(1-bits) * (terms+2) plus one unit per rescale, in units of 2^(shift-bits)
+    rounding = ((peak_mag * (terms_used + 2) + (rescales << (bits - 1))) << shift) / (1 << (2 * bits - 1))
     if terminated:
         abs_err = rounding
     else:
-        abs_err = target_rel_err * abs(value) + last_mag / one + rounding
+        abs_err = target_rel_err * abs(value) + (last_mag << shift) / one + rounding
     return EvalResult(
         value=value,
         abs_error_estimate=abs_err,
@@ -533,3 +549,35 @@ class TestMemoisedRatios:
                 rounds += 1
         finally:
             sys.setswitchinterval(old_interval)
+
+
+class TestCoarsenedUnit:
+    """Past z ~ 55 the base terms outgrow bits + 2 _GUARD_BITS, and the walk
+    coarsens its unit at every few terms of the rise."""
+
+    @pytest.mark.parametrize("z", [150.0, 600.0])
+    @pytest.mark.parametrize("tol", [1e-15, 1e-10])
+    def test_members_bound_error_vs_mpmath(self, z, tol):
+        # each member's sum is rescaled as the walk goes, and every estimate
+        # must still bound its error, against mpmath at twice the working precision
+        base, weights = EIGEN_FAMILY
+        weights = [(), *weights]
+        for factors, res in zip(weights, eval_contiguous(base, weights, z * z, tol)):
+            with mpmath.workprec(2 * res.precision_bits_used):
+                ref = mpmath.hyper(*member_series(base, factors), -mpmath.mpf(z * z))
+                assert abs(res.value - ref) <= res.abs_error_estimate, factors
+
+    @given(
+        series=memo_series(),
+        z=st.floats(min_value=60.0, max_value=150.0),
+        tol=st.sampled_from([1e-15, 1e-10]),
+        bits_extra=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_kernel(self, series, z, tol, bits_extra):
+        # the reference applies the same rule term by term, so both kernels
+        # must rescale at the same terms whatever the chunk sizes
+        overrides = {} if bits_extra is None else {"bits": DOUBLE_BITS + bits_extra}
+        fresh = HypergeometricSeries(series.numerator_params, series.denominator_params)
+        got = outcome(eval_pfq, series, z * z, tol, **overrides)
+        assert got == outcome(reference_eval_pfq, fresh, z * z, tol, **overrides)
