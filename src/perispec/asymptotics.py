@@ -34,7 +34,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .material import DerivedParams, MaterialParams, WaveNumber, derive
 from .special import EULER_GAMMA, digamma, gamma, reciprocal_gamma
@@ -119,7 +119,8 @@ class AsymptoticForms:
     (``bounded_limit`` and the coefficient products, or psi(b)) and lambda12's
     coefficient, so one object serves any number of wavenumbers.  The methods
     take z = delta ||nu|| / 2 > 0 and evaluate each formula's floating-point
-    expression in its original order.
+    expression in its original order; ``parts`` gives lambda11, lambda12 and
+    lambda2 at one z from one call.
     """
 
     def __init__(self, params: MaterialParams):
@@ -138,27 +139,33 @@ class AsymptoticForms:
             self._constants = limit, coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
         self._lambda12_scale = _lambda12_scale(p, d)
 
-    def lambda2(self, z: float) -> float:
+    def parts(self, z: float) -> Tuple[float, float, float]:
+        """(lambda11, lambda12, lambda2) at one z, from one positivity check
+        and one shared power or logarithm."""
         z = _positive(z)
+        p = self.params
         if self._logarithmic:
             scale, psi = self._constants
-            return scale * (2.0 * math.log(z) + EULER_GAMMA - psi)
-        limit, scale, _ = self._constants
-        return limit - scale * z ** (self.params.beta - self.params.n)
+            t = 2.0 * math.log(z) + EULER_GAMMA
+            l11, l2 = scale * (t + 2.0 - psi), scale * (t - psi)
+        else:
+            limit, scale2, scale11 = self._constants
+            power = z ** (p.beta - p.n)
+            l11, l2 = limit - scale11 * power, limit - scale2 * power
+        return l11, _lambda12(p, z, self._lambda12_scale), l2
+
+    def lambda2(self, z: float) -> float:
+        return self.parts(z)[2]
 
     def lambda11(self, z: float) -> float:
-        z = _positive(z)
-        if self._logarithmic:
-            scale, psi = self._constants
-            return scale * (2.0 * math.log(z) + EULER_GAMMA + 2.0 - psi)
-        limit, _, scale = self._constants
-        return limit - scale * z ** (self.params.beta - self.params.n)
+        return self.parts(z)[0]
 
     def lambda12(self, z: float) -> float:
         return _lambda12(self.params, _positive(z), self._lambda12_scale)
 
     def lambda1(self, z: float) -> float:
-        return self.lambda12(z) + self.lambda11(z)
+        l11, l12, _ = self.parts(z)
+        return l12 + l11
 
 
 def _lambda12_scale(p: MaterialParams, d: DerivedParams) -> float:

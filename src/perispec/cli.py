@@ -5,21 +5,23 @@ Subcommands:
   figure    reproduce the eigenvalues-vs-asymptotics comparison tables
   validate  run the validation suites and report pass/fail
 
-Exit statuses: 0 ok, 1 validation failure, 2 usage error, 3 numerical failure.
+Exit statuses: 0 ok, 1 validation failure, 2 usage error (including an
+output path that cannot be written), 3 numerical failure.
 All output is deterministic: identical configuration yields byte-identical
-tables (timings go to stderr).
+tables (timings go to stderr).  A CSV table is its header plus one line per
+``SpectrumSample`` row, made by one %-format call with 17 significant digits
+per number, the text ``tables.format_cell`` gives each cell.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
+import operator
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import tables
 from .eigenvalues import DEFAULT_TOL, DEFAULT_Z_SWITCH, MaterialParams, eval_spectrum
@@ -44,24 +46,34 @@ def _rows_to_dicts(columns, rows) -> List[dict]:
     return [{col: getattr(row, col) for col in columns} for row in rows]
 
 
-def _emit(columns, dict_rows: List[dict], fmt: str, out: str) -> None:
+def _emit(columns, rows, fmt: str, out: str) -> None:
     if fmt == "csv":
-        text = _render_csv(columns, dict_rows)
+        chunks = _render_csv(columns, rows)
     else:
-        text = json.dumps(dict_rows, sort_keys=False) + "\n"
+        chunks = (json.dumps(_rows_to_dicts(columns, rows), sort_keys=False) + "\n",)
     if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="ascii")
+        sys.stdout.writelines(chunks)
+    else:  # not Path(out): pathlib interns each part of the name, so new names grow the interned-string table
+        with open(out, "w", encoding="ascii") as fh:
+            fh.writelines(chunks)
 
 
-def _render_csv(columns, dict_rows: List[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in dict_rows:
-        writer.writerow([tables.format_cell(row[col]) for col in columns])
-    return buf.getvalue()
+#: One %-format per CSV line: '%.17g' writes a float as ``tables.format_cell``
+#: does, nan, inf and -0 included; the branch column's strings need no quoting.
+_CSV_LINES = {
+    tables.EIGS_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+    tables.FIGURE_COLUMNS: "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n",
+}
+
+
+def _render_csv(columns, rows) -> Iterator[str]:
+    """The header, then one line per row, as they are written; a row with an
+    absent (None) cell, written empty, goes through ``tables.format_cell``
+    cell by cell."""
+    line, cells = _CSV_LINES[columns], operator.attrgetter(*columns)
+    yield ",".join(columns) + "\n"
+    for values in map(cells, rows):
+        yield line % values if None not in values else ",".join(map(tables.format_cell, values)) + "\n"
 
 
 def cmd_eigs(args) -> int:
@@ -69,7 +81,7 @@ def cmd_eigs(args) -> int:
     z_switch = math.inf if args.policy == "series" else args.z_switch
     grid = tables.wavenumber_grid(args.nu_min, args.nu_max, args.points)
     samples = eval_spectrum(params, grid, z_switch, args.tol)
-    _emit(tables.EIGS_COLUMNS, _rows_to_dicts(tables.EIGS_COLUMNS, samples), args.format, args.out)
+    _emit(tables.EIGS_COLUMNS, samples, args.format, args.out)
     return EXIT_OK
 
 
@@ -79,7 +91,7 @@ def cmd_figure(args) -> int:
     if single:
         beta, delta = panels[0]
         rows = tables.figure_table(args.dim, beta, delta, args.mu, args.lambda_star, tol=args.tol)
-        _emit(tables.FIGURE_COLUMNS, _rows_to_dicts(tables.FIGURE_COLUMNS, rows), args.format, args.out)
+        _emit(tables.FIGURE_COLUMNS, rows, args.format, args.out)
         return EXIT_OK
     out_dir = Path("." if args.out == "-" else args.out)
     if out_dir.exists() and not out_dir.is_dir():
@@ -88,12 +100,7 @@ def cmd_figure(args) -> int:
     for beta, delta in panels:
         rows = tables.figure_table(args.dim, beta, delta, args.mu, args.lambda_star, tol=args.tol)
         name = f"figure_dim{args.dim}_beta{beta:g}_delta{delta:g}.{args.format}"
-        _emit(
-            tables.FIGURE_COLUMNS,
-            _rows_to_dicts(tables.FIGURE_COLUMNS, rows),
-            args.format,
-            str(out_dir / name),
-        )
+        _emit(tables.FIGURE_COLUMNS, rows, args.format, str(out_dir / name))
         print(out_dir / name)
     return EXIT_OK
 
@@ -176,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # no name keeps the parser alive through the command, so a young collection frees its reference cycles
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out / --oracle-report path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # PrecisionExhaustedError, QuadratureConvergenceError, overflow

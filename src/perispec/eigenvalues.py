@@ -24,21 +24,20 @@ asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .asymptotics import AsymptoticForms
 from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_contiguous
-from .material import DerivedParams, MaterialParams, WaveNumber, derive  # re-exported
+from .material import DerivedParams, MaterialParams, WaveNumber, check_nu_norms, derive  # re-exported
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """One grid point: exact eigenvalues plus asymptotic companions."""
+class SpectrumSample(NamedTuple):
+    """One grid point: exact eigenvalues plus asymptotic companions.  A named
+    tuple, so it equals the plain tuple of its fields and has no __dict__."""
 
     nu_norm: float
     lambda1: float
@@ -173,57 +172,34 @@ def eval_spectrum(
     The asym1/asym2 companions are filled for every nu > 0 with beta < n+2
     regardless of the switch.  The material's z-independent work (series,
     term ratios, asymptotic constants) is done once for the whole grid.
-    ``z_switch`` and ``tol`` are checked up front, even when no row uses them.
+    The grid, ``z_switch`` and ``tol`` are checked up front, the last two even
+    when no row uses them.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
-    waves = [WaveNumber.of(params, float(nu)) for nu in grid]
+    nus = [float(nu) for nu in grid]
+    check_nu_norms(nus)
     check_target_rel_err(tol)
 
     plan = _Plan(params)
+    half_delta = 0.5 * params.delta  # z = half_delta * nu is WaveNumber.of's double
     subcritical = params.beta < params.n + 2
     samples = []
-    for w in waves:
-        forms = plan.forms if subcritical and w.nu_norm > 0.0 else None  # built at the first nu > 0
-        if forms is not None and w.z > z_switch:
-            l11 = forms.lambda11(w.z)
-            l12 = forms.lambda12(w.z)
+    for nu in nus:
+        z = half_delta * nu
+        if subcritical and nu > 0.0:
+            forms = plan.forms  # built at the first nu > 0
+            l11, l12, l2 = forms.parts(z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
-            l2 = forms.lambda2(w.z)
-            samples.append(
-                SpectrumSample(
-                    nu_norm=w.nu_norm,
-                    lambda1=l1,
-                    lambda2=l2,
-                    lambda11=l11,
-                    lambda12=l12,
-                    asym1=l1,
-                    asym2=l2,
-                    method="asymptotic",
-                    branch=forms.branch,
-                )
-            )
+            if z > z_switch:
+                samples.append(SpectrumSample(nu, l1, l2, l11, l12, l1, l2, "asymptotic", forms.branch))
+                continue
+            asym1, asym2, branch = l1, l2, forms.branch
         else:
-            if forms is not None:
-                asym1 = forms.lambda1(w.z)
-                asym2 = forms.lambda2(w.z)
-                branch = forms.branch
-            else:
-                asym1 = None
-                asym2 = None
-                branch = ""
-            r2, r11, r12 = plan.lambdas(w, tol, ("transverse", "dyadic", "coupling"))
-            samples.append(
-                SpectrumSample(
-                    nu_norm=w.nu_norm,
-                    lambda1=r11.value + r12.value,
-                    lambda2=r2.value,
-                    lambda11=r11.value,
-                    lambda12=r12.value,
-                    asym1=asym1,
-                    asym2=asym2,
-                    method="series",
-                    branch=branch,
-                )
-            )
+            asym1 = asym2 = None
+            branch = ""
+        r2, r11, r12 = plan.lambdas(WaveNumber(nu, z), tol, ("transverse", "dyadic", "coupling"))
+        samples.append(
+            SpectrumSample(nu, r11.value + r12.value, r2.value, r11.value, r12.value, asym1, asym2, "series", branch)
+        )
     return samples

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .special import gamma
 
@@ -61,9 +62,16 @@ class WaveNumber:
 
     @classmethod
     def of(cls, params: MaterialParams, nu_norm: float) -> "WaveNumber":
+        check_nu_norms((nu_norm,))
+        return cls(nu_norm=nu_norm, z=0.5 * params.delta * nu_norm)
+
+
+def check_nu_norms(nu_norms: Iterable[float]) -> None:
+    """Raise ValueError at the first wavenumber magnitude that is negative,
+    infinite or nan."""
+    for nu_norm in nu_norms:
         if not (nu_norm >= 0 and math.isfinite(nu_norm)):
             raise ValueError(f"nu_norm must be finite and >= 0, got {nu_norm}")
-        return cls(nu_norm=nu_norm, z=0.5 * params.delta * nu_norm)
 
 
 def derive(params: MaterialParams) -> DerivedParams:

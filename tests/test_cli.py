@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -8,7 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import perispec.cli as cli
+import perispec.tables as tables
 from perispec.cli import main
+from perispec.eigenvalues import SpectrumSample
 from perispec.tables import format_cell
 
 DATA = Path(__file__).parent / "data"
@@ -94,6 +98,56 @@ class TestEigsCommand:
         assert "0.10000000000000001" in out
 
 
+def reference_render_csv(columns, rows):
+    """The reference CSV rendering: ``csv.writer`` over ``format_cell``, cell by cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_cell(getattr(row, col)) for col in columns])
+    return buf.getvalue()
+
+
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+    0.1, 1.0, -123456.789, 2.0 ** 60,
+)
+
+
+def edge_rows():
+    """Rows whose float cells run through ``EDGE_VALUES``: with both asym
+    cells, with neither and with only asym2, on both branches."""
+    rows = []
+    k = len(EDGE_VALUES)
+    for i in range(k):
+        v = [EDGE_VALUES[(i + j) % k] for j in range(7)]
+        rows.append(SpectrumSample(*v[:5], v[5], v[6], "series", ("power_law", "logarithmic")[i % 2]))
+        rows.append(SpectrumSample(*v[:5], None, None, "series", ""))
+        rows.append(SpectrumSample(*v[:5], None, v[6], "asymptotic", "logarithmic"))
+    return rows
+
+
+class TestCsvRenderer:
+    @pytest.mark.parametrize(
+        "columns, module, producer, argv",
+        [
+            (tables.EIGS_COLUMNS, cli, "eval_spectrum", ("eigs", "--dim", "3", "--beta", "2", "--points", "2")),
+            (tables.FIGURE_COLUMNS, tables, "figure_table", ("figure", "--dim", "3", "--beta", "2", "--delta", "1")),
+        ],
+    )
+    def test_bytes_match_reference_rendering(self, tmp_path, monkeypatch, columns, module, producer, argv):
+        rows = edge_rows()
+        monkeypatch.setattr(module, producer, lambda *args, **kwargs: rows)
+        want = reference_render_csv(columns, rows)
+        code, out, err = run_cli(*argv, "--out", "-")
+        assert code == 0, err
+        assert out == want
+        path = tmp_path / "table.csv"
+        code, out, err = run_cli(*argv, "--out", str(path))
+        assert code == 0 and out == "", err
+        assert path.read_bytes() == want.encode("ascii")
+
+
 class TestGoldenOutput:
     # Output bytes are part of the CLI contract: these files pin them.
     @pytest.mark.parametrize(
@@ -153,8 +207,6 @@ class TestFigureCommand:
 
     def test_panel_set_written_to_directory(self, tmp_path, monkeypatch):
         # shrink the panel set so the test stays fast
-        import perispec.tables as tables
-
         monkeypatch.setattr(tables, "PANEL_BETA_OFFSETS", (-1.0,))
         monkeypatch.setattr(tables, "PANEL_DELTAS", (1.0,))
         monkeypatch.setattr(tables, "FIGURE_POINTS", 50)
@@ -191,6 +243,20 @@ class TestExitStatuses:
         assert code == 2
         assert out == ""
         assert "target_rel_err" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigs", "--dim", "3", "--beta", "2", "--points", "2"),
+            ("figure", "--dim", "3", "--beta", "2", "--delta", "1"),
+        ],
+    )
+    def test_usage_error_unwritable_out(self, tmp_path, argv):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(*argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
 
     def test_numerical_failure(self):
         # z so large the precision ceiling trips: exit 3, not a traceback

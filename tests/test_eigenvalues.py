@@ -1,9 +1,18 @@
 import math
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from perispec.asymptotics import (
+    BranchInstabilityWarning,
+    asym_lambda1,
+    asym_lambda2,
+    asym_lambda11,
+    asym_lambda12,
+)
 from perispec.eigenvalues import (
     MaterialParams,
     WaveNumber,
@@ -254,6 +263,41 @@ class TestEvalSpectrum:
         samples = eval_spectrum(params_for(3, 5.0), [1.0])
         assert samples[0].asym1 is None and samples[0].asym2 is None
         assert samples[0].method == "series"
+
+    @pytest.mark.parametrize(
+        "n, beta, lambda_star, branch, warns",
+        [
+            (3, 2.5, 2.0, "power_law", 0),
+            (2, 2.0, 2.0, "logarithmic", 0),
+            (3, 2.5, 1.0, "power_law", 0),  # lambda* = mu: lambda12 is exactly 0.0
+            (2, 2.0 + 1e-12, 2.0, "logarithmic", 1),  # inside the branch tolerance
+        ],
+    )
+    def test_rows_past_switch_are_bitwise_asym_forms(self, n, beta, lambda_star, branch, warns):
+        p = params_for(n, beta, delta=2.0, lambda_star=lambda_star)
+        grid = [5.0, 20.5, 25.0, 31.3, 60.0, 1000.0]  # z = nu: one series row, then past z_switch = 20
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = eval_spectrum(p, grid, z_switch=20.0)
+        assert [w.category for w in caught] == [BranchInstabilityWarning] * warns
+
+        def bits(*values):
+            return [struct.pack("<d", v) for v in values]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchInstabilityWarning)
+            for row in rows:
+                asym1, asym2 = asym_lambda1(p, row.nu_norm), asym_lambda2(p, row.nu_norm)
+                assert row.branch == branch
+                assert bits(row.asym1, row.asym2) == bits(asym1, asym2)
+                if row.nu_norm == 5.0:
+                    assert row.method == "series"
+                    continue
+                assert row.method == "asymptotic"
+                want = (asym1, asym2, asym_lambda11(p, row.nu_norm), asym_lambda12(p, row.nu_norm))
+                assert bits(row.lambda1, row.lambda2, row.lambda11, row.lambda12) == bits(*want)
+                if lambda_star == p.mu:
+                    assert bits(row.lambda12) == bits(0.0)
 
 
 def separate_sum(params, nu, tol, part, **overrides):
