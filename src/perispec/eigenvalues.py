@@ -169,7 +169,7 @@ def eval_spectrum(
     Points with z above ``z_switch`` use the closed-form large-z
     approximations for the lambda columns, and the sample records which path
     was taken; ``z_switch = math.inf`` keeps every point on the exact series.
-    The asym1/asym2 companions are filled for every nu > 0 with beta < n+2
+    The asym1/asym2 companions are filled for every z > 0 with beta < n+2
     regardless of the switch.  The material's z-independent work (series,
     term ratios, asymptotic constants) is done once for the whole grid.
     The grid, ``z_switch`` and ``tol`` are checked up front, the last two even
@@ -187,8 +187,8 @@ def eval_spectrum(
     samples = []
     for nu in nus:
         z = half_delta * nu
-        if subcritical and nu > 0.0:
-            forms = plan.forms  # built at the first nu > 0
+        if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
+            forms = plan.forms  # built at the first z > 0
             l11, l12, l2 = forms.parts(z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
             if z > z_switch:

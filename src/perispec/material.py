@@ -15,7 +15,7 @@ from typing import Iterable
 from .special import gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaterialParams:
     """Physical and nonlocal parameters defining the operator.
 

@@ -11,9 +11,12 @@ whose e1-eigenvalue is lambda1 and whose transverse eigenvalue is lambda2.
 Radial integration uses Gauss-Jacobi rules whose weight x^(gamma-1) absorbs
 the r^(n+1-beta) origin behavior of the integrand (the (cos-1) and sin
 factors contribute O(r^2) and O(r)), so convergence stays spectral for every
-beta < n+2.  Angular integration uses the exact sphere marginals; for n = 1
-the transverse value is the dimensional continuation of the marginal weight
-(1-t^2)^((n-1)/2), which degenerates to a plain average over t in [-1, 1].
+beta < n+2.  Angular integration serves every n >= 1.  For n >= 2 one
+theta-form does it: omega_1 = cos(theta) on [0, pi] with the sphere marginal
+|S^(n-2)| sin^(n-2)(theta), |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2), and
+the transverse factor (1 - cos^2(theta))/(n-1); one (cos-1) grid serves both
+even profiles.  For n = 1 the transverse value is the dimensional continuation
+of the marginal weight (1-t^2)^((n-1)/2), a plain average over t in [-1, 1].
 Every rule, the Gauss-Legendre ones included (gamma = 1), is a Golub-Welsch
 rule (Math. Comp. 23, 1969) built with numpy from one symmetric eigenproblem
 and cached per (gamma, points) pair for the life of the process.
@@ -46,7 +49,7 @@ RULE_CACHE_SIZE = 128
 
 
 class UnsupportedDimensionError(ValueError):
-    """Quadrature grids are implemented for n in {1, 2, 3} only."""
+    """``multiplier_matrix``'s direction grids stop at n = 3; ``oracle_multipliers`` serves every n."""
 
 
 class SingularKernelError(ValueError):
@@ -114,8 +117,6 @@ def _gauss_legendre(m: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarra
 
 
 def _check_params(params: MaterialParams) -> None:
-    if params.n > 3:
-        raise UnsupportedDimensionError(f"oracle supports n <= 3, got n = {params.n}")
     if params.beta >= params.n + 2:
         raise SingularKernelError(
             f"oracle needs beta < n+2 (c > 0), got beta = {params.beta}, n = {params.n}"
@@ -135,27 +136,22 @@ def _angular_profiles(n: int, s: np.ndarray, angular_points: int):
         longitudinal = 2.0 * _cosm1(s)
         transverse = _cosm1(np.outer(s, t)) @ u
         odd = 2.0 * np.sin(s)
-    elif n == 2:
+    else:
         theta, u = _gauss_legendre(angular_points, 0.0, math.pi)
         ct = np.cos(theta)
+        u = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1)) * u * np.sin(theta) ** (n - 2)  # |S^(n-2)|
         phase = np.outer(s, ct)
-        longitudinal = 2.0 * (_cosm1(phase) @ (u * ct ** 2))
-        transverse = 2.0 * (_cosm1(phase) @ (u * (1.0 - ct ** 2)))
-        odd = 2.0 * (np.sin(phase) @ (u * ct))
-    else:
-        t, u = _gauss_legendre(angular_points, -1.0, 1.0)
-        phase = np.outer(s, t)
-        longitudinal = 2.0 * math.pi * (_cosm1(phase) @ (u * t ** 2))
-        transverse = math.pi * (_cosm1(phase) @ (u * (1.0 - t ** 2)))
-        odd = 2.0 * math.pi * (np.sin(phase) @ (u * t))
+        cosm1 = _cosm1(phase)
+        longitudinal = cosm1 @ (u * ct ** 2)
+        transverse = cosm1 @ (u * (1.0 - ct ** 2) / (n - 1))
+        odd = np.sin(phase) @ (u * ct)
     return longitudinal, transverse, odd
 
 
 def _multipliers_once(
-    params: MaterialParams, nu_norm: float, gamma_exp: float, radial_points: int, angular_points: int
+    params: MaterialParams, c: float, nu_norm: float, gamma_exp: float, radial_points: int, angular_points: int
 ) -> Tuple[float, float]:
     n, beta, delta, mu = params.n, params.beta, params.delta, params.mu
-    c = derive(params).c
     x, w = _gauss_jacobi(gamma_exp, radial_points)
     s = nu_norm * delta * x
     longitudinal, transverse, odd = _angular_profiles(n, s, angular_points)
@@ -187,13 +183,14 @@ def oracle_multipliers(
         return (0.0, 0.0)
     if spec is None:
         spec = QuadratureSpec()
+    c = derive(params).c
     gamma_exp = params.n + 2.0 - params.beta
 
-    prev = _multipliers_once(params, nu_norm, gamma_exp, spec.radial_points, spec.angular_points)
+    prev = _multipliers_once(params, c, nu_norm, gamma_exp, spec.radial_points, spec.angular_points)
     for level in range(1, spec.max_refinements + 1):
         scale = 2 ** level
         cur = _multipliers_once(
-            params, nu_norm, gamma_exp, scale * spec.radial_points, scale * spec.angular_points
+            params, c, nu_norm, gamma_exp, scale * spec.radial_points, scale * spec.angular_points
         )
         drift = max(
             abs(cur[i] - prev[i]) / max(abs(cur[i]), 1e-8) for i in range(2)
@@ -217,6 +214,8 @@ def multiplier_matrix(
     witness symmetry and rotation invariance against the reduced route.
     """
     _check_params(params)
+    if params.n > 3:
+        raise UnsupportedDimensionError(f"multiplier_matrix supports n <= 3, got n = {params.n}")
     if spec is None:
         spec = QuadratureSpec()
     n, beta, delta, mu = params.n, params.beta, params.delta, params.mu

@@ -225,6 +225,14 @@ class TestExitStatuses:
         assert code == 2
         assert "error" in err.lower()
 
+    def test_subnormal_wavenumber_exits_zero(self):
+        code, out, err = run_cli(
+            "eigs", "--dim", "2", "--beta", "2.5", "--delta", "1",
+            "--nu-min", "5e-324", "--nu-max", "5e-324", "--points", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["4.9406564584124654e-324,-0,-0,-0,-0"]
+
     def test_usage_error_bad_material(self):
         code, _, _ = run_cli("eigs", "--dim", "3", "--beta", "9", "--points", "1")
         assert code == 2

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -54,6 +56,15 @@ class TestMaterialParams:
         p = params_for(3, 2.0, delta=2.0)
         w = WaveNumber.of(p, 3.0)
         assert w.z == 3.0  # delta * nu / 2
+
+    def test_slots_keep_value_semantics(self):
+        p = params_for(3, 2.0, delta=2.0)
+        assert not hasattr(p, "__dict__")
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p) and repr(copy) == repr(p)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.beta = 1.0
+        assert dataclasses.replace(p, beta=1.0) == params_for(3, 1.0, delta=2.0)
 
 
 class TestDerive:
@@ -258,6 +269,19 @@ class TestEvalSpectrum:
             p = params_for(n, beta, lambda_star=2.0)
             for s in eval_spectrum(p, list(np.linspace(0.0, 20.0, 21))):
                 assert s.lambda1 <= 0.0 and s.lambda2 <= 0.0
+
+    def test_subnormal_wavenumber_is_a_series_row(self):
+        # z = delta nu / 2 underflows to 0.0 at nu = 5e-324: that row, like nu = 0,
+        # takes the series with no asym companions, while nu = 1e-300 keeps z > 0
+        p = params_for(2, 2.5)
+        rows = eval_spectrum(p, [0.0, 5e-324, 1e-300, 1.0])
+        assert [row.method for row in rows] == ["series"] * 4
+        assert [row.asym1 is None for row in rows] == [True, True, False, False]
+        assert [row.asym2 is None for row in rows] == [True, True, False, False]
+        assert [row.branch for row in rows] == ["", "", "power_law", "power_law"]
+        for row in rows[:3]:
+            assert (row.lambda1, row.lambda2, row.lambda11, row.lambda12) == (0.0, 0.0, 0.0, 0.0)
+        assert rows[3].lambda2 == lambda2(p, 1.0).value
 
     def test_navier_endpoint_has_no_asym_columns(self):
         samples = eval_spectrum(params_for(3, 5.0), [1.0])

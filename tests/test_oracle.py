@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import perispec
+import perispec.oracle as oracle
 from perispec.eigenvalues import MaterialParams, lambda1, lambda2
 from perispec.oracle import (
     QuadratureSpec,
@@ -152,8 +153,42 @@ class TestOracleMultipliers:
         assert M[0, 0] == pytest.approx(l1, rel=1e-9)
 
     def test_unsupported_dimension(self):
+        # only the matrix route's direction grids stop at n = 3
+        p = params_for(4, 2.0)
         with pytest.raises(UnsupportedDimensionError):
-            oracle_multipliers(params_for(4, 2.0), 1.0)
+            multiplier_matrix(p, [1.0, 0.0, 0.0, 0.0])
+        assert all(np.isfinite(oracle_multipliers(p, 1.0)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_higher_dimensions_match_series(self, n):
+        # the self-test lattice's (beta - n, delta, nu) points, held to criterion 2's 1e-5
+        lattice = [
+            (n, n + db, delta, nu)
+            for db in (-1.0, -0.5, 0.0, 0.5, 1.0)
+            for delta in (0.5, 1.0, 2.0)
+            for nu in (0.5, 2.0, 10.0)
+        ]
+        report = oracle_selftest(lattice=lattice, tol=1e-12)
+        assert [e.status for e in report.entries] == ["ok"] * 45
+        assert report.max_rel_discrepancy <= 1e-5
+
+    def test_two_grids_per_workload_point(self, monkeypatch):
+        # the oracle-crosscheck materials converge at the first refinement
+        calls = []
+        once = oracle._multipliers_once
+
+        def counted(*args):
+            calls.append(args[-1])  # angular_points: 64, then 128 per refinement
+            return once(*args)
+
+        monkeypatch.setattr(oracle, "_multipliers_once", counted)
+        for n in (1, 2, 3):
+            for db in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5):
+                for delta in (0.5, 1.0, 2.0):
+                    for nu in (0.1, 5.0, 20.0):
+                        calls.clear()
+                        oracle_multipliers(params_for(n, n + db, delta=delta), nu)
+                        assert calls == [64, 128], (n, db, delta, nu)
 
     def test_singular_endpoint_refused(self):
         with pytest.raises(SingularKernelError):
