@@ -18,8 +18,6 @@ from .asymptotics import (
     ErrorEnvelope,
     GrowthClass,
     asym_lambda1,
-    asym_lambda11,
-    asym_lambda12,
     asym_lambda2,
     branch_for,
     classify_growth,
@@ -29,8 +27,6 @@ from .eigenvalues import (
     SpectrumSample,
     eval_spectrum,
     lambda1,
-    lambda11,
-    lambda12,
     lambda2,
     navier_eigenvalues,
 )
@@ -67,8 +63,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "WaveNumber",
     "asym_lambda1",
-    "asym_lambda11",
-    "asym_lambda12",
     "asym_lambda2",
     "branch_for",
     "classify_growth",
@@ -79,8 +73,6 @@ __all__ = [
     "eval_spectrum",
     "gamma",
     "lambda1",
-    "lambda11",
-    "lambda12",
     "lambda2",
     "multiplier_matrix",
     "navier_eigenvalues",

@@ -25,6 +25,7 @@ asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isfinite
 from typing import List, NamedTuple, Optional, Sequence
 
 from .asymptotics import AsymptoticForms
@@ -89,7 +90,7 @@ class _Plan:
     def forms(self) -> AsymptoticForms:
         return AsymptoticForms(self.params)
 
-    def lambdas(self, w: WaveNumber, tol: float, series: Sequence[str], **kwargs) -> List[EvalResult]:
+    def lambdas(self, w: WaveNumber, tol: float, series: Sequence[str]) -> List[EvalResult]:
         """lambda2, lambda11 or lambda12 at one wavenumber for each of the
         ``series`` named ("transverse", "dyadic", "coupling"), in order, all
         summed in one ``eval_contiguous`` walk of the transverse terms."""
@@ -101,7 +102,7 @@ class _Plan:
         sums = {}
         if live:
             weights = [self.weights[name] for name in live]
-            sums = dict(zip(live, eval_contiguous(self.transverse, weights, w.z * w.z, tol, **kwargs)))
+            sums = dict(zip(live, eval_contiguous(self.transverse, weights, w.z * w.z, tol)))
         out = []
         for name in series:
             res = sums.get(name)
@@ -123,25 +124,16 @@ def transverse_series(params: MaterialParams) -> HypergeometricSeries:
     return _Plan(params).transverse
 
 
-def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
+def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
-    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("transverse",), **kwargs)[0]
+    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("transverse",))[0]
 
 
-def lambda11(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
-    """Dyadic part of the longitudinal eigenvalue, -3 mu ||nu||^2 3F4(...)."""
-    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic",), **kwargs)[0]
-
-
-def lambda12(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
-    """Rank-one coupling part, -||nu||^2 (lambda* - mu) [1F2(...)]^2."""
-    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("coupling",), **kwargs)[0]
-
-
-def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL, **kwargs) -> EvalResult:
+def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Longitudinal eigenvalue lambda11 + lambda12 with combined error, both
-    parts from one walk of the transverse terms."""
-    r11, r12 = _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic", "coupling"), **kwargs)
+    parts from one walk of the transverse terms.  The parts themselves are
+    the lambda11 and lambda12 columns of ``eval_spectrum``'s rows."""
+    r11, r12 = _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic", "coupling"))
     return EvalResult(
         value=r11.value + r12.value,
         abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
@@ -173,7 +165,8 @@ def eval_spectrum(
     regardless of the switch.  The material's z-independent work (series,
     term ratios, asymptotic constants) is done once for the whole grid.
     The grid, ``z_switch`` and ``tol`` are checked up front, the last two even
-    when no row uses them.
+    when no row uses them.  A row whose lambda1 or lambda2, or whose asym1 or
+    asym2, is not finite raises ``OverflowError`` naming its wavenumber.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
@@ -191,6 +184,8 @@ def eval_spectrum(
             forms = plan.forms  # built at the first z > 0
             l11, l12, l2 = forms.parts(z)
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
+            if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
+                raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
             if z > z_switch:
                 samples.append(SpectrumSample(nu, l1, l2, l11, l12, l1, l2, "asymptotic", forms.branch))
                 continue
@@ -199,7 +194,8 @@ def eval_spectrum(
             asym1 = asym2 = None
             branch = ""
         r2, r11, r12 = plan.lambdas(WaveNumber(nu, z), tol, ("transverse", "dyadic", "coupling"))
-        samples.append(
-            SpectrumSample(nu, r11.value + r12.value, r2.value, r11.value, r12.value, asym1, asym2, "series", branch)
-        )
+        l1 = r11.value + r12.value
+        if not (isfinite(l1) and isfinite(r2.value)):
+            raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
+        samples.append(SpectrumSample(nu, l1, r2.value, r11.value, r12.value, asym1, asym2, "series", branch))
     return samples

@@ -162,9 +162,11 @@ def check_envelope_slopes(points: int = 600) -> CheckResult:
     passed = True
     for n, beta in ENVELOPE_COMBOS:
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
+        forms = asymptotics.AsymptoticForms(params)
         rows = eval_spectrum(params, 2.0 * zs / params.delta, math.inf, 1e-12)
-        err2 = np.array([abs(r.lambda2 - asymptotics.asym_lambda2(params, r.nu_norm)) for r in rows])
-        err11 = np.array([abs(r.lambda11 - asymptotics.asym_lambda11(params, r.nu_norm)) for r in rows])
+        parts = [forms.parts(0.5 * params.delta * r.nu_norm) for r in rows]  # WaveNumber.of's z
+        err2 = np.array([abs(r.lambda2 - l2) for r, (_, _, l2) in zip(rows, parts)])
+        err11 = np.array([abs(r.lambda11 - l11) for r, (l11, _, _) in zip(rows, parts)])
         slope2 = block_maxima_slope(zs, err2)
         slope11 = block_maxima_slope(zs, err11)
         want2 = asymptotics.envelope_for("lambda2", params).decay_exponent

@@ -7,6 +7,23 @@ The same checks back ``perispec validate --level full``.
 
 from perispec import validation
 
+#: The detail lines of criteria 3 and 4, as ``perispec validate --level full``
+#: prints them: an asymptotics change that moves the report fails here.
+CRITERION_3_DETAIL = (
+    "(n=2,b=1.0) limit gap 2.00e-04; "
+    "(n=3,b=2.0) limit gap 2.36e-04; "
+    "(n=1,b=n) log-branch gap 8.70e-08; "
+    "(n=2,b=n) log-branch gap 7.88e-09; "
+    "(n=3,b=n) log-branch gap 4.02e-10 (tols 5% / 1%)"
+)
+CRITERION_4_DETAIL = (
+    "(n=1,b=1.0) l2 -1.96 vs -2.0, l11 -0.97 vs -1.0; "
+    "(n=2,b=2.0) l2 -2.48 vs -2.5, l11 -1.48 vs -1.5; "
+    "(n=3,b=3.0) l2 -2.95 vs -3.0, l11 -1.96 vs -2.0; "
+    "(n=3,b=2.0) l2 -2.95 vs -3.0, l11 -1.96 vs -2.0; "
+    "(n=3,b=4.0) l2 -2.95 vs -3.0, l11 -1.96 vs -2.0 (tol +-0.3)"
+)
+
 
 def _report(result):
     print(f"{result.line()}  [{result.elapsed_s:.1f}s]")
@@ -29,13 +46,17 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_boundedness_classification():
     # beta < n saturates at the closed-form constant within 5% at nu = 1e4;
     # beta = n tracks the logarithmic branch within 1% at nu = 1e3
-    _report(validation.check_boundedness_classification())
+    result = validation.check_boundedness_classification()
+    _report(result)
+    assert result.detail == CRITERION_3_DETAIL
 
 
 def test_criterion_4_envelope_slopes():
     # |exact - asym| over z in [50, 500]: block-maxima log-log slopes within
     # +-0.3 of -(n+3)/2 (transverse) and -(n+1)/2 (longitudinal dyadic)
-    _report(validation.check_envelope_slopes())
+    result = validation.check_envelope_slopes()
+    _report(result)
+    assert result.detail == CRITERION_4_DETAIL
 
 
 def test_criterion_5_vanishing_horizon():

@@ -5,17 +5,16 @@ import pytest
 
 from perispec.asymptotics import (
     AsymptoticBranch,
+    AsymptoticForms,
     BranchInstabilityWarning,
     asym_lambda1,
-    asym_lambda11,
-    asym_lambda12,
     asym_lambda2,
     branch_for,
     classify_growth,
     envelope_for,
     error_envelope,
 )
-from perispec.eigenvalues import MaterialParams, derive, lambda11, lambda12, lambda2
+from perispec.eigenvalues import MaterialParams, derive, eval_spectrum, lambda2
 from perispec.special import EULER_GAMMA, digamma
 
 
@@ -44,7 +43,7 @@ class TestBranchSelection:
         with pytest.raises(ValueError):
             asym_lambda2(params_for(3, 2.0), 0.0)
         with pytest.raises(ValueError):
-            asym_lambda12(params_for(3, 2.0), 0.0)
+            AsymptoticForms(params_for(3, 2.0)).parts(0.0)
 
 
 class TestTransverseAsymptote:
@@ -92,19 +91,23 @@ class TestLongitudinalDyadicAsymptote:
     def test_vanishing_power_term_below_critical(self):
         # (n - beta - 1) = 0 at beta = n-1: pure constant -4 mu a b/(d^2(a-1))
         p = params_for(3, 2.0)
-        assert asym_lambda11(p, 10.0) == asym_lambda11(p, 10000.0) == pytest.approx(-30.0, rel=1e-14)
+        forms = AsymptoticForms(p)
+        assert forms.parts(5.0)[0] == forms.parts(5000.0)[0] == pytest.approx(-30.0, rel=1e-14)
         # and the series approaches that constant within the envelope
-        exact = lambda11(p, 2000.0, 1e-12).value
+        (row,) = eval_spectrum(p, [2000.0], math.inf, 1e-12)
+        exact = row.lambda11
         assert abs(exact + 30.0) <= 1.5 * error_envelope("lambda11", p, 2000.0)
 
     def test_linear_growth_at_beta_n_plus_one(self):
         # the power term must NOT vanish at beta = n+1: lambda11 grows ~ z
         p = params_for(3, 4.0)
-        v1 = asym_lambda11(p, 2.0 * 100.0)
-        v2 = asym_lambda11(p, 2.0 * 200.0)
+        forms = AsymptoticForms(p)
+        v1 = forms.parts(100.0)[0]
+        v2 = forms.parts(200.0)[0]
         assert (v2 - v1) != 0.0
         assert (v2 - v1) / v1 == pytest.approx(1.0, rel=0.1)  # doubling z ~ doubles the z-term
-        exact = lambda11(p, 2.0 * 200.0, 1e-12).value
+        (row,) = eval_spectrum(p, [2.0 * 200.0], math.inf, 1e-12)
+        exact = row.lambda11
         assert v2 == pytest.approx(exact, rel=1e-4)
 
     def test_log_branch_offset_from_transverse(self):
@@ -112,27 +115,29 @@ class TestLongitudinalDyadicAsymptote:
         for n in (1, 2, 3):
             p = params_for(n, float(n), delta=1.3)
             d = derive(p)
-            for nu in (5.0, 50.0):
-                gap = asym_lambda11(p, nu) - asym_lambda2(p, nu)
+            for z in (0.5 * 1.3 * 5.0, 0.5 * 1.3 * 50.0):
+                l11, _, l2 = AsymptoticForms(p).parts(z)
+                gap = l11 - l2
                 assert gap == pytest.approx(-8.0 * p.mu * d.a * d.b / p.delta ** 2, rel=1e-13)
 
 
 class TestCouplingAsymptote:
     def test_equal_lame_parameters(self):
-        assert asym_lambda12(params_for(3, 2.0, lambda_star=1.0), 5.0) == 0.0
+        assert AsymptoticForms(params_for(3, 2.0, lambda_star=1.0)).parts(2.5)[1] == 0.0
 
     def test_exact_zero_at_beta_zero(self):
         # 1/Gamma(0) = 0 exactly, for any dimension
-        assert asym_lambda12(params_for(2, 0.0), 5.0) == 0.0
-        assert asym_lambda12(params_for(3, 0.0), 5.0) == 0.0
+        assert AsymptoticForms(params_for(2, 0.0)).parts(2.5)[1] == 0.0
+        assert AsymptoticForms(params_for(3, 0.0)).parts(2.5)[1] == 0.0
 
     def test_hand_value_and_series_agreement(self):
         # (n=3, beta=3, mu=1, lambda*=2): -[Gamma(2.5)Gamma(2)/Gamma(1.5)]^2 4 z^-2 = -9 z^-2
         p = params_for(3, 3.0)
+        forms = AsymptoticForms(p)
         for z in (10.0, 100.0):
-            assert asym_lambda12(p, 2.0 * z) == pytest.approx(-9.0 / z ** 2, rel=1e-13)
-        exact = lambda12(p, 2.0 * 100.0, 1e-12).value
-        assert asym_lambda12(p, 2.0 * 100.0) == pytest.approx(exact, rel=2e-2)
+            assert forms.parts(z)[1] == pytest.approx(-9.0 / z ** 2, rel=1e-13)
+        (row,) = eval_spectrum(p, [2.0 * 100.0], math.inf, 1e-12)
+        assert forms.parts(100.0)[1] == pytest.approx(row.lambda12, rel=2e-2)
 
 
 class TestComposition:
@@ -140,11 +145,12 @@ class TestComposition:
         for n, beta in ((3, 2.0), (2, 2.0), (3, 4.0)):
             p = params_for(n, beta, delta=0.8, lambda_star=3.0)
             for nu in (3.0, 30.0, 300.0):
-                assert asym_lambda1(p, nu) == asym_lambda12(p, nu) + asym_lambda11(p, nu)
+                l11, l12, _ = AsymptoticForms(p).parts(0.5 * 0.8 * nu)
+                assert asym_lambda1(p, nu) == l12 + l11
 
     def test_reduces_to_dyadic_when_lame_equal(self):
         p = params_for(3, 2.0, lambda_star=1.0)
-        assert asym_lambda1(p, 7.0) == asym_lambda11(p, 7.0)
+        assert asym_lambda1(p, 7.0) == AsymptoticForms(p).parts(3.5)[0]
 
     def test_branch_consistency_near_critical(self):
         # power branch at beta = n +- 1e-6 converges to the log branch value

@@ -277,6 +277,20 @@ class TestExitStatuses:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--beta", "5", "--mu", "1e308", "--nu-min", "2", "--nu-max", "2"),  # series row
+            ("--beta", "4.9", "--mu", "1e300", "--nu-min", "1e10", "--nu-max", "1e10"),  # asymptotic row
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_eigenvalues_exit_3(self, argv, fmt):
+        # an overflowing row stops the run: no nan/inf in a table, no NaN/Infinity in JSON
+        code, out, err = run_cli("eigs", "--dim", "3", *argv, "--points", "1", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: ") and "nu_norm" in err
+
 
 class TestValidateCommand:
     def test_quick_level_passes_and_matches_schema(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import struct
 import tracemalloc
 import warnings
@@ -8,21 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from perispec.asymptotics import (
-    BranchInstabilityWarning,
-    asym_lambda1,
-    asym_lambda2,
-    asym_lambda11,
-    asym_lambda12,
-)
+from perispec.asymptotics import AsymptoticForms, BranchInstabilityWarning, asym_lambda1, asym_lambda2
 from perispec.eigenvalues import (
     MaterialParams,
     WaveNumber,
     derive,
     eval_spectrum,
     lambda1,
-    lambda11,
-    lambda12,
     lambda2,
     navier_eigenvalues,
 )
@@ -32,6 +25,12 @@ from test_hyper import bruteforce_pfq
 
 def params_for(n, beta, delta=1.0, mu=1.0, lambda_star=2.0):
     return MaterialParams(n=n, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
+
+
+def series_row(params, nu):
+    """The ``eval_spectrum`` row at one wavenumber, on the series."""
+    (row,) = eval_spectrum(params, [nu], math.inf)
+    return row
 
 
 class TestMaterialParams:
@@ -115,40 +114,40 @@ class TestLambda2:
 
 class TestLambda11:
     def test_zero_wavenumber(self):
-        assert lambda11(params_for(2, 1.0), 0.0).value == 0.0
+        assert series_row(params_for(2, 1.0), 0.0).lambda11 == 0.0
 
     def test_navier_endpoint(self):
-        res = lambda11(params_for(3, 5.0), 2.0)
-        assert res.value == pytest.approx(-12.0, rel=1e-12)
+        value = series_row(params_for(3, 5.0), 2.0).lambda11
+        assert value == pytest.approx(-12.0, rel=1e-12)
 
     def test_small_wavenumber_frozen_and_bruteforce(self):
         p = params_for(3, 2.0)
-        res = lambda11(p, 0.2)
-        assert res.value == pytest.approx(-0.11982869835499611, rel=1e-13)
+        value = series_row(p, 0.2).lambda11
+        assert value == pytest.approx(-0.11982869835499611, rel=1e-13)
         ref = -3.0 * 0.2 ** 2 * float(
             bruteforce_pfq((1.0, 2.5, 1.5), (2.0, 1.5, 3.5, 2.5), (0.2 / 2) ** 2)
         )
-        assert res.value == pytest.approx(ref, rel=1e-13)
+        assert value == pytest.approx(ref, rel=1e-13)
 
 
 class TestLambda12:
     def test_zero_wavenumber(self):
-        assert lambda12(params_for(3, 2.0), 0.0).value == 0.0
+        assert series_row(params_for(3, 2.0), 0.0).lambda12 == 0.0
 
     def test_equal_lame_parameters_vanish(self):
         p = params_for(3, 2.0, lambda_star=1.0)
         for nu in (0.5, 2.0, 10.0):
-            assert lambda12(p, nu).value == 0.0
+            assert series_row(p, nu).lambda12 == 0.0
 
     def test_navier_endpoint(self):
-        res = lambda12(params_for(2, 4.0), 2.0)
-        assert res.value == pytest.approx(-4.0, rel=1e-12)
+        value = series_row(params_for(2, 4.0), 2.0).lambda12
+        assert value == pytest.approx(-4.0, rel=1e-12)
 
     def test_square_of_coupling_series(self):
         p = params_for(2, 1.0)
         f = float(bruteforce_pfq((1.5,), (2.0, 2.5), 1.0))  # a=1.5, b=2, z=1
-        res = lambda12(p, 2.0)
-        assert res.value == pytest.approx(-(2.0 - 1.0) * 4.0 * f * f, rel=1e-12)
+        value = series_row(p, 2.0).lambda12
+        assert value == pytest.approx(-(2.0 - 1.0) * 4.0 * f * f, rel=1e-12)
 
 
 class TestLambda1:
@@ -161,14 +160,14 @@ class TestLambda1:
 
     def test_reduces_to_dyadic_part_when_lame_equal(self):
         p = params_for(3, 2.0, lambda_star=1.0)
-        assert lambda1(p, 3.0).value == lambda11(p, 3.0).value
+        assert lambda1(p, 3.0).value == series_row(p, 3.0).lambda11
 
     def test_additivity(self):
         p = params_for(3, 3.5, delta=0.7, lambda_star=2.5)
         for nu in (0.3, 2.0, 8.0):
             total = lambda1(p, nu).value
-            parts = lambda11(p, nu).value + lambda12(p, nu).value
-            assert total == pytest.approx(parts, rel=1e-12)
+            row = series_row(p, nu)
+            assert total == pytest.approx(row.lambda11 + row.lambda12, rel=1e-12)
 
 
 class TestNavier:
@@ -283,6 +282,19 @@ class TestEvalSpectrum:
             assert (row.lambda1, row.lambda2, row.lambda11, row.lambda12) == (0.0, 0.0, 0.0, 0.0)
         assert rows[3].lambda2 == lambda2(p, 1.0).value
 
+    @pytest.mark.parametrize(
+        "params, nu",
+        [
+            (params_for(3, 5.0, mu=1e308), 2.0),  # series row: lambda2 and both parts overflow
+            (params_for(3, 5.0, lambda_star=1e308), 2.0),  # series row: only lambda12 overflows
+            (params_for(3, 4.9, mu=1e300), 1e10),  # asymptotic row
+            (params_for(3, 1.0, mu=1e300), 0.02),  # series row: only asym1 overflows
+        ],
+    )
+    def test_non_finite_row_raises_naming_nu(self, params, nu):
+        with pytest.raises(OverflowError, match=re.escape(f"nu_norm = {nu!r}")):
+            eval_spectrum(params, [0.0, nu])
+
     def test_navier_endpoint_has_no_asym_columns(self):
         samples = eval_spectrum(params_for(3, 5.0), [1.0])
         assert samples[0].asym1 is None and samples[0].asym2 is None
@@ -310,6 +322,7 @@ class TestEvalSpectrum:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BranchInstabilityWarning)
+            forms = AsymptoticForms(p)
             for row in rows:
                 asym1, asym2 = asym_lambda1(p, row.nu_norm), asym_lambda2(p, row.nu_norm)
                 assert row.branch == branch
@@ -318,37 +331,38 @@ class TestEvalSpectrum:
                     assert row.method == "series"
                     continue
                 assert row.method == "asymptotic"
-                want = (asym1, asym2, asym_lambda11(p, row.nu_norm), asym_lambda12(p, row.nu_norm))
+                l11, l12, _ = forms.parts(0.5 * p.delta * row.nu_norm)
+                want = (asym1, asym2, l11, l12)
                 assert bits(row.lambda1, row.lambda2, row.lambda11, row.lambda12) == bits(*want)
                 if lambda_star == p.mu:
                     assert bits(row.lambda12) == bits(0.0)
 
 
-def separate_sum(params, nu, tol, part, **overrides):
-    """``part`` (lambda2, lambda11 or lambda12) as (value, terms_used) from a
-    single-series sum of its own series, or PrecisionExhaustedError."""
+def separate_sum(params, nu, tol, part):
+    """``part`` ("lambda2", "lambda11" or "lambda12") as (value, terms_used)
+    from a single-series sum of its own series, or PrecisionExhaustedError."""
     d = derive(params)
     mu, lam = params.mu, params.lambda_star
-    if nu == 0.0 or (part is lambda12 and lam == mu):
+    if nu == 0.0 or (part == "lambda12" and lam == mu):
         return 0.0, 1
     series, prefactor = {
-        lambda2: (HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0)), -mu * nu * nu),
-        lambda11: (HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0)), -3.0 * mu * nu * nu),
-        lambda12: (HypergeometricSeries((d.a,), (d.b, d.a + 1.0)), -(lam - mu) * nu * nu),
+        "lambda2": (HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0)), -mu * nu * nu),
+        "lambda11": (HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0)), -3.0 * mu * nu * nu),
+        "lambda12": (HypergeometricSeries((d.a,), (d.b, d.a + 1.0)), -(lam - mu) * nu * nu),
     }[part]
     z = WaveNumber.of(params, nu).z
     try:
-        res = eval_pfq(series, z * z, tol, **overrides)
+        res = eval_pfq(series, z * z, tol)
     except PrecisionExhaustedError as exc:
         return type(exc)
-    value = prefactor * res.value * res.value if part is lambda12 else prefactor * res.value
+    value = prefactor * res.value * res.value if part == "lambda12" else prefactor * res.value
     return value, res.terms_used
 
 
-def summed(part, params, nu, tol, **overrides):
-    """(value, terms_used) of a public wrapper, or PrecisionExhaustedError."""
+def summed(wrapper, params, nu, tol):
+    """(value, terms_used) of ``lambda1`` or ``lambda2``, or PrecisionExhaustedError."""
     try:
-        res = part(params, nu, tol, **overrides)
+        res = wrapper(params, nu, tol)
     except PrecisionExhaustedError as exc:
         return type(exc)
     return res.value, res.terms_used
@@ -376,24 +390,10 @@ class TestOneWalkPerPoint:
     def test_rows_and_wrappers_equal_separate_sums(self, params, tol):
         rows = eval_spectrum(params, self.GRID, math.inf, tol)
         for row in rows:
-            want = [separate_sum(params, row.nu_norm, tol, part) for part in (lambda2, lambda11, lambda12)]
+            want = [separate_sum(params, row.nu_norm, tol, part) for part in ("lambda2", "lambda11", "lambda12")]
             assert [row.lambda2, row.lambda11, row.lambda12] == [v for v, _ in want]
-            assert [summed(part, params, row.nu_norm, tol) for part in (lambda2, lambda11, lambda12)] == want
+            assert summed(lambda2, params, row.nu_norm, tol) == want[0]
             assert summed(lambda1, params, row.nu_norm, tol) == (want[1][0] + want[2][0], want[1][1] + want[2][1])
-
-    @pytest.mark.parametrize("params", CONTIGUOUS_MATERIALS)
-    @pytest.mark.parametrize("overrides", [dict(bits=400), dict(max_terms=6)])
-    def test_overrides_pass_through(self, params, overrides):
-        for nu in (0.0, 0.3, 11.0, 40.0):
-            want = [separate_sum(params, nu, 1e-12, part, **overrides) for part in (lambda2, lambda11, lambda12)]
-            assert [summed(part, params, nu, 1e-12, **overrides) for part in (lambda2, lambda11, lambda12)] == want
-            r1 = summed(lambda1, params, nu, 1e-12, **overrides)
-            if PrecisionExhaustedError in want[1:]:
-                assert r1 is PrecisionExhaustedError
-            else:
-                assert r1 == (want[1][0] + want[2][0], want[1][1] + want[2][1])
-        if "bits" in overrides:
-            assert lambda1(params, 11.0, 1e-12, **overrides).precision_bits_used == overrides["bits"]
 
     def test_large_z_lambda1_keeps_no_term_list(self):
         # z = 2000: ~5,500 terms of ~5,900 bits, about 4 MB as a list of ints.
