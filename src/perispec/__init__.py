@@ -57,10 +57,8 @@ __all__ = [
     "MaterialParams",
     "PrecisionExhaustedError",
     "QuadratureConvergenceError",
-    "QuadratureSpec",
     "SingularKernelError",
     "SpectrumSample",
-    "UnsupportedDimensionError",
     "WaveNumber",
     "asym_lambda1",
     "asym_lambda2",
@@ -74,25 +72,13 @@ __all__ = [
     "gamma",
     "lambda1",
     "lambda2",
-    "multiplier_matrix",
     "navier_eigenvalues",
     "oracle_multipliers",
-    "oracle_selftest",
     "reciprocal_gamma",
     "required_bits",
 ]
 
-_ORACLE_NAMES = frozenset(
-    {
-        "QuadratureConvergenceError",
-        "QuadratureSpec",
-        "SingularKernelError",
-        "UnsupportedDimensionError",
-        "multiplier_matrix",
-        "oracle_multipliers",
-        "oracle_selftest",
-    }
-)
+_ORACLE_NAMES = frozenset({"QuadratureConvergenceError", "SingularKernelError", "oracle_multipliers"})
 
 
 def __getattr__(name):

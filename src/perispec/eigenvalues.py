@@ -25,7 +25,7 @@ asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
 from __future__ import annotations
 
 from functools import cached_property
-from math import isfinite
+from math import inf, isfinite
 from typing import List, NamedTuple, Optional, Sequence
 
 from .asymptotics import AsymptoticForms
@@ -162,11 +162,13 @@ def eval_spectrum(
     approximations for the lambda columns, and the sample records which path
     was taken; ``z_switch = math.inf`` keeps every point on the exact series.
     The asym1/asym2 companions are filled for every z > 0 with beta < n+2
-    regardless of the switch.  The material's z-independent work (series,
-    term ratios, asymptotic constants) is done once for the whole grid.
-    The grid, ``z_switch`` and ``tol`` are checked up front, the last two even
-    when no row uses them.  A row whose lambda1 or lambda2, or whose asym1 or
-    asym2, is not finite raises ``OverflowError`` naming its wavenumber.
+    regardless of the switch, except that on a series row a companion that is
+    not finite is left absent (None), as at nu = 0; the branch is "" where
+    both are.  The material's z-independent work (series, term ratios,
+    asymptotic constants) is done once for the whole grid.  The grid,
+    ``z_switch`` and ``tol`` are checked up front, the last two even when no
+    row uses them.  A row whose lambda1 or lambda2 is not finite raises
+    ``OverflowError`` naming its wavenumber.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
@@ -182,14 +184,20 @@ def eval_spectrum(
         z = half_delta * nu
         if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
             forms = plan.forms  # built at the first z > 0
-            l11, l12, l2 = forms.parts(z)
+            try:
+                l11, l12, l2 = forms.parts(z)
+            except OverflowError:  # z ** negative at a tiny z
+                l11 = l12 = l2 = inf
             l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
-            if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
-                raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
             if z > z_switch:
+                if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
+                    raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
                 samples.append(SpectrumSample(nu, l1, l2, l11, l12, l1, l2, "asymptotic", forms.branch))
                 continue
-            asym1, asym2, branch = l1, l2, forms.branch
+            # a companion is only a large-z form: a series row leaves one that is not finite absent
+            asym1 = l1 if isfinite(l1) else None
+            asym2 = l2 if isfinite(l2) else None
+            branch = "" if asym1 is None and asym2 is None else forms.branch
         else:
             asym1 = asym2 = None
             branch = ""

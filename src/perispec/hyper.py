@@ -63,15 +63,15 @@ class PrecisionExhaustedError(ArithmeticError):
     """Evaluation would exceed the configured precision or term budget."""
 
 
-def required_bits(z: float, headroom: int = 40) -> int:
+def required_bits(z: float) -> int:
     """Working precision for summing a pFq series at argument -z^2.
 
     53 base bits, plus ceil(2*z*log2(e)) bits lost to cancellation against the
-    e^(2z) term peak, plus fixed headroom.
+    e^(2z) term peak, plus 40 bits of headroom.
     """
     if z < 0 or not math.isfinite(z):
         raise ValueError(f"z must be finite and >= 0, got {z}")
-    return DOUBLE_BITS + math.ceil(2.0 * z * _LOG2_E) + headroom
+    return DOUBLE_BITS + math.ceil(2.0 * z * _LOG2_E) + 40
 
 
 def check_target_rel_err(target_rel_err: float) -> None:

@@ -21,9 +21,10 @@ Every rule, the Gauss-Legendre ones included (gamma = 1), is a Golub-Welsch
 rule (Math. Comp. 23, 1969) built with numpy from one symmetric eigenproblem
 and cached per (gamma, points) pair for the life of the process.
 
-The quadrature never touches the hypergeometric series (only
-``oracle_selftest`` calls it, to compare the two): it exists to break the
-circularity between the series evaluator and the closed-form asymptotics.
+The quadrature never touches the hypergeometric series (this module imports
+only ``material``; ``validation.oracle_report`` compares the two): it exists
+to break the circularity between the series evaluator and the closed-form
+asymptotics.
 It is meant for moderate wavenumbers (z up to ~50); beyond that the
 integrand oscillation makes quadrature cost grow with z while the series,
 whose accuracy is certified independently, serves as ground truth.
@@ -32,14 +33,11 @@ whose accuracy is certified independently, serves as ground truth.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .eigenvalues import lambda1, lambda2
 from .material import MaterialParams, derive
 
 
@@ -47,9 +45,15 @@ from .material import MaterialParams, derive
 #: refinement level of the radial and angular grids is one m.
 RULE_CACHE_SIZE = 128
 
-
-class UnsupportedDimensionError(ValueError):
-    """``multiplier_matrix``'s direction grids stop at n = 3; ``oracle_multipliers`` serves every n."""
+#: The first grid: radial Gauss-Jacobi points, whose origin weight x^(n+1-beta)
+#: on the unit interval matches the kernel singularity exactly, and angular
+#: Gauss-Legendre points.  Each refinement doubles both.
+RADIAL_POINTS = 96
+ANGULAR_POINTS = 64
+#: Two successive grids must agree to this relative error, within this many
+#: refinements.
+TARGET_REL_ERR = 1e-7
+MAX_REFINEMENTS = 3
 
 
 class SingularKernelError(ValueError):
@@ -58,30 +62,6 @@ class SingularKernelError(ValueError):
 
 class QuadratureConvergenceError(ArithmeticError):
     """Successive grid refinements failed to agree within target."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Grid sizes and accuracy target for the quadrature oracle.
-
-    The radial rule's Gauss-Jacobi origin weight x^(n+1-beta) on the unit
-    interval matches the kernel singularity exactly.
-    """
-
-    radial_points: int = 96
-    angular_points: int = 64
-    target_rel_err: float = 1e-7
-    max_refinements: int = 3
-
-    def __post_init__(self):
-        if self.radial_points < 16:
-            raise ValueError(f"radial_points must be >= 16, got {self.radial_points}")
-        if self.angular_points < 4:
-            raise ValueError(f"angular_points must be >= 4, got {self.angular_points}")
-        if self.target_rel_err < 1e-8:
-            raise ValueError(f"target_rel_err must be >= 1e-8, got {self.target_rel_err}")
-        if self.max_refinements < 1:
-            raise ValueError(f"max_refinements must be >= 1, got {self.max_refinements}")
 
 
 def _cosm1(x: np.ndarray) -> np.ndarray:
@@ -167,193 +147,33 @@ def _multipliers_once(
     return lam1, m_trans
 
 
-def oracle_multipliers(
-    params: MaterialParams, nu_norm: float, spec: Optional[QuadratureSpec] = None
-) -> Tuple[float, float]:
+def oracle_multipliers(params: MaterialParams, nu_norm: float) -> Tuple[float, float]:
     """Both plane-wave eigenvalues (lambda1, lambda2) by quadrature.
 
     Refines the grid (doubling both directions) until two successive results
-    agree within spec.target_rel_err; raises ``QuadratureConvergenceError``
-    if they never do.
+    agree within TARGET_REL_ERR; raises ``QuadratureConvergenceError`` if they
+    never do within MAX_REFINEMENTS.
     """
     _check_params(params)
     if not (nu_norm >= 0 and math.isfinite(nu_norm)):
         raise ValueError(f"nu_norm must be finite and >= 0, got {nu_norm}")
     if nu_norm == 0.0:
         return (0.0, 0.0)
-    if spec is None:
-        spec = QuadratureSpec()
     c = derive(params).c
     gamma_exp = params.n + 2.0 - params.beta
 
-    prev = _multipliers_once(params, c, nu_norm, gamma_exp, spec.radial_points, spec.angular_points)
-    for level in range(1, spec.max_refinements + 1):
+    prev = _multipliers_once(params, c, nu_norm, gamma_exp, RADIAL_POINTS, ANGULAR_POINTS)
+    for level in range(1, MAX_REFINEMENTS + 1):
         scale = 2 ** level
-        cur = _multipliers_once(
-            params, c, nu_norm, gamma_exp, scale * spec.radial_points, scale * spec.angular_points
-        )
+        cur = _multipliers_once(params, c, nu_norm, gamma_exp, scale * RADIAL_POINTS, scale * ANGULAR_POINTS)
         drift = max(
             abs(cur[i] - prev[i]) / max(abs(cur[i]), 1e-8) for i in range(2)
         )
-        if drift <= spec.target_rel_err:
+        if drift <= TARGET_REL_ERR:
             return cur
         prev = cur
     raise QuadratureConvergenceError(
-        f"quadrature did not stabilize to {spec.target_rel_err:g} within "
-        f"{spec.max_refinements} refinements at nu = {nu_norm:g} "
+        f"quadrature did not stabilize to {TARGET_REL_ERR:g} within "
+        f"{MAX_REFINEMENTS} refinements at nu = {nu_norm:g} "
         f"(n={params.n}, beta={params.beta}, delta={params.delta})"
-    )
-
-
-def multiplier_matrix(
-    params: MaterialParams, nu_vec: Sequence[float], spec: Optional[QuadratureSpec] = None
-) -> np.ndarray:
-    """Full n x n multiplier matrix for an arbitrary wave vector.
-
-    Single-resolution tensor grid over the ball (no refinement loop); used to
-    witness symmetry and rotation invariance against the reduced route.
-    """
-    _check_params(params)
-    if params.n > 3:
-        raise UnsupportedDimensionError(f"multiplier_matrix supports n <= 3, got n = {params.n}")
-    if spec is None:
-        spec = QuadratureSpec()
-    n, beta, delta, mu = params.n, params.beta, params.delta, params.mu
-    nu = np.asarray(nu_vec, dtype=float)
-    if nu.shape != (n,):
-        raise ValueError(f"nu_vec must have shape ({n},), got {nu.shape}")
-    c = derive(params).c
-    gamma_exp = n + 2.0 - beta
-
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        u = np.array([1.0, 1.0])
-    elif n == 2:
-        a_pts = spec.angular_points
-        theta = 2.0 * math.pi * (np.arange(a_pts) + 0.5) / a_pts
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        u = np.full(a_pts, 2.0 * math.pi / a_pts)
-    else:
-        a_pts = spec.angular_points
-        t, ut = _gauss_legendre(a_pts, -1.0, 1.0)
-        phi = 2.0 * math.pi * (np.arange(a_pts) + 0.5) / a_pts
-        st = np.sqrt(1.0 - t ** 2)
-        dirs = np.column_stack(
-            [
-                np.repeat(t, a_pts),
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-            ]
-        )
-        u = np.repeat(ut, a_pts) * (2.0 * math.pi / a_pts)
-
-    x, w = _gauss_jacobi(gamma_exp, spec.radial_points)
-    r = delta * x
-    dots = dirs @ nu  # (K,)
-    phase = np.outer(r, dots)  # (R, K)
-    outer_dirs = dirs[:, :, None] * dirs[:, None, :]  # (K, n, n)
-
-    even_radial = w * x ** (n - beta - gamma_exp)
-    odd_radial = w * x ** (n + 1.0 - beta - gamma_exp)
-    coeff_even = np.outer(even_radial, u) * _cosm1(phase)
-    coeff_odd = np.outer(odd_radial, u) * np.sin(phase)
-
-    dyadic = (n + 2) * mu * c * delta ** (n - beta) * np.einsum("ik,kab->ab", coeff_even, outer_dirs)
-    g_vec = delta ** (n + 1.0 - beta) * coeff_odd.sum(axis=0) @ dirs
-    return dyadic - (params.lambda_star - mu) * 0.25 * c * c * np.outer(g_vec, g_vec)
-
-
-# -- self-test against the series route -------------------------------------
-
-
-def default_selftest_lattice() -> List[Tuple[int, float, float, float]]:
-    """(n, beta, delta, nu) lattice spanning integrable and singular kernels."""
-    return [
-        (n, n + db, delta, nu)
-        for n in (1, 2, 3)
-        for db in (-1.0, -0.5, 0.0, 0.5, 1.0)
-        for delta in (0.5, 1.0, 2.0)
-        for nu in (0.5, 2.0, 10.0)
-    ]
-
-
-@dataclass(frozen=True)
-class SelfTestEntry:
-    n: int
-    beta: float
-    delta: float
-    nu_norm: float
-    status: str  # "ok" | "unsupported"
-    series: Optional[Tuple[float, float]] = None
-    quadrature: Optional[Tuple[float, float]] = None
-    rel_discrepancy: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SelfTestReport:
-    threshold: float
-    max_rel_discrepancy: float
-    passed: bool
-    entries: List[SelfTestEntry] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def oracle_selftest(
-    mu: float = 1.0,
-    lambda_star: float = 2.0,
-    spec: Optional[QuadratureSpec] = None,
-    lattice: Optional[Sequence[Tuple[int, float, float, float]]] = None,
-    tol: float = 1e-10,
-) -> SelfTestReport:
-    """Quadrature vs series over a parameter lattice.
-
-    Passes when the worst relative discrepancy (absolute below 1e-8) stays
-    within 10x the quadrature accuracy target.  Lattice points with
-    beta >= n+2 are reported as unsupported rather than silently skipped.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    if lattice is None:
-        lattice = default_selftest_lattice()
-    threshold = 10.0 * spec.target_rel_err
-
-    entries = []
-    worst = 0.0
-    for n, beta, delta, nu in lattice:
-        if beta >= n + 2:
-            entries.append(
-                SelfTestEntry(n=n, beta=beta, delta=delta, nu_norm=nu, status="unsupported")
-            )
-            continue
-        params = MaterialParams(n=n, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
-        s1 = lambda1(params, nu, tol).value
-        s2 = lambda2(params, nu, tol).value
-        q1, q2 = oracle_multipliers(params, nu, spec)
-        rel = max(
-            abs(s1 - q1) / max(abs(s1), 1e-8),
-            abs(s2 - q2) / max(abs(s2), 1e-8),
-        )
-        worst = max(worst, rel)
-        entries.append(
-            SelfTestEntry(
-                n=n,
-                beta=beta,
-                delta=delta,
-                nu_norm=nu,
-                status="ok",
-                series=(s1, s2),
-                quadrature=(q1, q2),
-                rel_discrepancy=rel,
-            )
-        )
-    return SelfTestReport(
-        threshold=threshold,
-        max_rel_discrepancy=worst,
-        passed=worst <= threshold,
-        entries=entries,
     )

@@ -55,18 +55,18 @@ def figure_table(
     delta: float,
     mu: float = 1.0,
     lambda_star: float = 2.0,
-    points: int = FIGURE_POINTS,
-    nu_max: float = FIGURE_NU_MAX,
     tol: float = DEFAULT_TOL,
 ) -> List[SpectrumSample]:
-    """Exact eigenvalues vs their asymptotic approximations on [0, nu_max].
+    """Exact eigenvalues vs their asymptotic approximations at FIGURE_POINTS
+    equispaced wavenumbers on [0, FIGURE_NU_MAX].
 
     The lambda columns always come from the exact series (that is the point
     of the comparison); the asym columns and their absolute errors are blank
-    at nu = 0 where log z and the negative powers are undefined.
+    at nu = 0, where log z and the negative powers are undefined, and
+    wherever a form is not finite.
     """
     params = MaterialParams(n=dim, delta=delta, beta=beta, mu=mu, lambda_star=lambda_star)
-    return eval_spectrum(params, wavenumber_grid(0.0, nu_max, points), math.inf, tol)
+    return eval_spectrum(params, wavenumber_grid(0.0, FIGURE_NU_MAX, FIGURE_POINTS), math.inf, tol)
 
 
 def default_panels(dim: int, beta: Optional[float] = None, delta: Optional[float] = None):

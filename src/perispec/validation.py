@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import asymptotics, tables
+from . import asymptotics, oracle, tables
 from .eigenvalues import (
     MaterialParams,
     eval_spectrum,
@@ -26,7 +26,6 @@ from .eigenvalues import (
     transverse_series,
 )
 from .hyper import eval_pfq, eval_pfq_float64, required_bits
-from .oracle import QuadratureSpec, oracle_selftest
 
 
 @dataclass(frozen=True)
@@ -71,24 +70,53 @@ def check_navier_limit() -> CheckResult:
 # -- criterion 2 -------------------------------------------------------------
 
 
+#: (n, beta, delta, nu) points, integrable and singular kernels, all beta < n+2.
+ORACLE_LATTICE = [
+    (n, n + db, delta, nu)
+    for n in (1, 2, 3)
+    for db in (-1.0, -0.5, 0.0, 0.5, 1.0)
+    for delta in (0.5, 1.0, 2.0)
+    for nu in (0.5, 2.0, 10.0)
+]
+ORACLE_LATTICE_QUICK = [
+    (n, n + db, 1.0, nu) for n in (1, 2, 3) for db in (-1.0, -0.5, 0.0, 0.5, 1.0) for nu in (0.5, 2.0)
+]
+
+#: Criterion 2 passes when the worst series-vs-quadrature discrepancy is
+#: within ORACLE_TOL.  The --oracle-report file's own "passed" flag uses the
+#: tighter REPORT_THRESHOLD, 10x the oracle's refinement target.
+ORACLE_TOL = 1e-5
+REPORT_THRESHOLD = 10.0 * oracle.TARGET_REL_ERR
+
+
+def oracle_report(lattice: Sequence[Tuple[int, float, float, float]]) -> dict:
+    """Series (tol 1e-10) vs quadrature at each (n, beta, delta, nu) of
+    ``lattice``, mu = 1, lambda* = 2: every entry's relative discrepancy
+    (absolute below 1e-8), the worst one, and whether it is within
+    REPORT_THRESHOLD.  A point with beta >= n+2 raises ``SingularKernelError``."""
+    entries = []
+    worst = 0.0
+    for n, beta, delta, nu in lattice:
+        params = MaterialParams(n=n, delta=delta, beta=beta, mu=1.0, lambda_star=2.0)
+        q1, q2 = oracle.oracle_multipliers(params, nu)
+        s1 = lambda1(params, nu, 1e-10).value
+        s2 = lambda2(params, nu, 1e-10).value
+        rel = max(abs(s1 - q1) / max(abs(s1), 1e-8), abs(s2 - q2) / max(abs(s2), 1e-8))
+        worst = max(worst, rel)
+        point = dict(n=n, beta=beta, delta=delta, nu_norm=nu, status="ok")
+        entries.append(dict(point, series=[s1, s2], quadrature=[q1, q2], rel_discrepancy=rel))
+    return dict(threshold=REPORT_THRESHOLD, max_rel_discrepancy=worst, passed=worst <= REPORT_THRESHOLD, entries=entries)
+
+
 def check_oracle_equivalence(reduced: bool = False) -> CheckResult:
     """Series vs quadrature on the (n, beta, delta, nu) lattice, 1e-5."""
     t0 = time.monotonic()
-    tol = 1e-5
-    lattice = None
-    if reduced:
-        lattice = [
-            (n, n + db, 1.0, nu)
-            for n in (1, 2, 3)
-            for db in (-1.0, -0.5, 0.0, 0.5, 1.0)
-            for nu in (0.5, 2.0)
-        ]
-    report = oracle_selftest(mu=1.0, lambda_star=2.0, spec=QuadratureSpec(), lattice=lattice)
-    n_ok = sum(1 for e in report.entries if e.status == "ok")
+    report = oracle_report(ORACLE_LATTICE_QUICK if reduced else ORACLE_LATTICE)
+    worst = report["max_rel_discrepancy"]
     return _finish(
         "oracle-equivalence" + ("-reduced" if reduced else ""),
-        report.max_rel_discrepancy <= tol,
-        f"max rel discrepancy {report.max_rel_discrepancy:.3e} (tol {tol:g}) over {n_ok} lattice points",
+        worst <= ORACLE_TOL,
+        f"max rel discrepancy {worst:.3e} (tol {ORACLE_TOL:g}) over {len(report['entries'])} lattice points",
         t0,
     )
 
@@ -131,11 +159,11 @@ def check_boundedness_classification() -> CheckResult:
 # -- criterion 4 -------------------------------------------------------------
 
 
-def block_maxima_slope(z: np.ndarray, err: np.ndarray, blocks: int = 20) -> float:
+def block_maxima_slope(z: np.ndarray, err: np.ndarray) -> float:
     """Slope of the upper envelope of err(z) in log-log, via block maxima
-    over geometric blocks (the error oscillates through zero, so a direct
+    over 20 geometric blocks (the error oscillates through zero, so a direct
     fit would chase the cosine instead of the envelope)."""
-    edges = np.geomspace(z[0], z[-1], blocks + 1)
+    edges = np.geomspace(z[0], z[-1], 21)
     xs, ys = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mask = (z >= lo) & (z <= hi)
@@ -151,13 +179,13 @@ def block_maxima_slope(z: np.ndarray, err: np.ndarray, blocks: int = 20) -> floa
 ENVELOPE_COMBOS = ((1, 1.0), (2, 2.0), (3, 3.0), (3, 2.0), (3, 4.0))
 
 
-def check_envelope_slopes(points: int = 600) -> CheckResult:
-    """Fitted decay of |exact - asymptotic| over z in [50, 500] must match
+def check_envelope_slopes() -> CheckResult:
+    """Fitted decay of |exact - asymptotic| at 600 z in [50, 500] must match
     the oscillatory-term rates that ``envelope_for`` states for lambda2 and
     lambda11."""
     t0 = time.monotonic()
     tol = 0.3
-    zs = np.linspace(50.0, 500.0, points)
+    zs = np.linspace(50.0, 500.0, 600)
     details = []
     passed = True
     for n, beta in ENVELOPE_COMBOS:

@@ -282,6 +282,8 @@ class TestExitStatuses:
         [
             ("--beta", "5", "--mu", "1e308", "--nu-min", "2", "--nu-max", "2"),  # series row
             ("--beta", "4.9", "--mu", "1e300", "--nu-min", "1e10", "--nu-max", "1e10"),  # asymptotic row
+            # asymptotic row past a tiny switch: the forms' z ** negative overflows at z = 5e-101
+            ("--beta", "2", "--nu-min", "1e-100", "--nu-max", "1e-100", "--z-switch", "1e-200"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -290,6 +292,22 @@ class TestExitStatuses:
         code, out, err = run_cli("eigs", "--dim", "3", *argv, "--points", "1", "--format", fmt)
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure: ") and "nu_norm" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--beta", "1", "--mu", "1e300", "--nu-min", "0.02", "--nu-max", "0.02"),  # asym1 not finite
+            ("--beta", "2", "--mu", "1", "--nu-min", "1e-100", "--nu-max", "1e-100"),  # parts overflows
+        ],
+    )
+    def test_non_finite_companion_prints_series_row(self, argv):
+        # eigs prints no companion, so one that is not finite does not stop the run
+        code, out, err = run_cli("eigs", "--dim", "3", *argv, "--points", "1")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header == ["nu_norm", "lambda1", "lambda2", "lambda11", "lambda12"]
+        assert len(rows) == 1 and rows[0][0] == argv[5]
+        assert all(math.isfinite(float(cell)) for cell in rows[0])
 
 
 class TestValidateCommand:

@@ -288,12 +288,27 @@ class TestEvalSpectrum:
             (params_for(3, 5.0, mu=1e308), 2.0),  # series row: lambda2 and both parts overflow
             (params_for(3, 5.0, lambda_star=1e308), 2.0),  # series row: only lambda12 overflows
             (params_for(3, 4.9, mu=1e300), 1e10),  # asymptotic row
-            (params_for(3, 1.0, mu=1e300), 0.02),  # series row: only asym1 overflows
         ],
     )
     def test_non_finite_row_raises_naming_nu(self, params, nu):
         with pytest.raises(OverflowError, match=re.escape(f"nu_norm = {nu!r}")):
             eval_spectrum(params, [0.0, nu])
+
+    def test_series_row_with_only_asym1_overflowing(self):
+        # the companion is a large-z form; a series row leaves it absent instead of failing
+        p = params_for(3, 1.0, mu=1e300)
+        (row,) = eval_spectrum(p, [0.02])
+        assert row.method == "series"
+        assert row.asym1 is None and row.abs_err1 is None
+        assert math.isfinite(row.asym2) and row.branch == "power_law"
+        assert row.lambda1 == lambda1(p, 0.02).value
+
+    def test_series_row_whose_forms_overflow_has_no_companions(self):
+        # z ** negative overflows in parts at z = 5e-101: both companions absent, as at nu = 0
+        p = params_for(3, 2.0)
+        (row,) = eval_spectrum(p, [1e-100])
+        assert (row.method, row.asym1, row.asym2, row.branch) == ("series", None, None, "")
+        assert row.lambda2 == lambda2(p, 1e-100).value
 
     def test_navier_endpoint_has_no_asym_columns(self):
         samples = eval_spectrum(params_for(3, 5.0), [1.0])

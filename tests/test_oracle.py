@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import jsonschema
 import numpy as np
@@ -11,16 +13,16 @@ import pytest
 
 import perispec
 import perispec.oracle as oracle
-from perispec.eigenvalues import MaterialParams, lambda1, lambda2
+from perispec.eigenvalues import MaterialParams, derive, lambda1, lambda2
 from perispec.oracle import (
-    QuadratureSpec,
     SingularKernelError,
-    UnsupportedDimensionError,
+    _check_params,
+    _cosm1,
     _gauss_jacobi,
-    multiplier_matrix,
+    _gauss_legendre,
     oracle_multipliers,
-    oracle_selftest,
 )
+from perispec.validation import oracle_report
 
 
 def params_for(n, beta, delta=1.0, mu=1.0, lambda_star=2.0):
@@ -32,22 +34,62 @@ def load_schema(name):
     return json.loads(text)
 
 
-class TestQuadratureSpec:
-    def test_defaults_valid(self):
-        QuadratureSpec()
+class UnsupportedDimensionError(ValueError):
+    """``multiplier_matrix``'s direction grids stop at n = 3; ``oracle_multipliers`` serves every n."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(radial_points=8),
-            dict(angular_points=2),
-            dict(target_rel_err=1e-9),
-            dict(max_refinements=0),
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+
+def multiplier_matrix(params: MaterialParams, nu_vec: Sequence[float]) -> np.ndarray:
+    """Full n x n multiplier matrix for an arbitrary wave vector.
+
+    The reference for ``oracle_multipliers``' reduction: a single-resolution
+    tensor grid over the ball (no refinement loop), on the oracle's first
+    grid, used to witness symmetry and rotation invariance.
+    """
+    _check_params(params)
+    if params.n > 3:
+        raise UnsupportedDimensionError(f"multiplier_matrix supports n <= 3, got n = {params.n}")
+    n, beta, delta, mu = params.n, params.beta, params.delta, params.mu
+    nu = np.asarray(nu_vec, dtype=float)
+    if nu.shape != (n,):
+        raise ValueError(f"nu_vec must have shape ({n},), got {nu.shape}")
+    c = derive(params).c
+    gamma_exp = n + 2.0 - beta
+
+    a_pts = oracle.ANGULAR_POINTS
+    if n == 1:
+        dirs = np.array([[1.0], [-1.0]])
+        u = np.array([1.0, 1.0])
+    elif n == 2:
+        theta = 2.0 * math.pi * (np.arange(a_pts) + 0.5) / a_pts
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        u = np.full(a_pts, 2.0 * math.pi / a_pts)
+    else:
+        t, ut = _gauss_legendre(a_pts, -1.0, 1.0)
+        phi = 2.0 * math.pi * (np.arange(a_pts) + 0.5) / a_pts
+        st = np.sqrt(1.0 - t ** 2)
+        dirs = np.column_stack(
+            [
+                np.repeat(t, a_pts),
+                np.outer(st, np.cos(phi)).ravel(),
+                np.outer(st, np.sin(phi)).ravel(),
+            ]
+        )
+        u = np.repeat(ut, a_pts) * (2.0 * math.pi / a_pts)
+
+    x, w = _gauss_jacobi(gamma_exp, oracle.RADIAL_POINTS)
+    r = delta * x
+    dots = dirs @ nu  # (K,)
+    phase = np.outer(r, dots)  # (R, K)
+    outer_dirs = dirs[:, :, None] * dirs[:, None, :]  # (K, n, n)
+
+    even_radial = w * x ** (n - beta - gamma_exp)
+    odd_radial = w * x ** (n + 1.0 - beta - gamma_exp)
+    coeff_even = np.outer(even_radial, u) * _cosm1(phase)
+    coeff_odd = np.outer(odd_radial, u) * np.sin(phase)
+
+    dyadic = (n + 2) * mu * c * delta ** (n - beta) * np.einsum("ik,kab->ab", coeff_even, outer_dirs)
+    g_vec = delta ** (n + 1.0 - beta) * coeff_odd.sum(axis=0) @ dirs
+    return dyadic - (params.lambda_star - mu) * 0.25 * c * c * np.outer(g_vec, g_vec)
 
 
 RULE_EXPONENTS = [0.05, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0]
@@ -110,7 +152,7 @@ def test_series_modules_do_not_import_numpy():
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
         "from perispec.oracle import oracle_multipliers\n"
         "assert perispec.oracle_multipliers is oracle_multipliers\n"
-        "assert perispec.QuadratureSpec is perispec.oracle.QuadratureSpec\n"
+        "assert perispec.SingularKernelError is perispec.oracle.SingularKernelError\n"
         "assert 'numpy' in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
@@ -153,24 +195,21 @@ class TestOracleMultipliers:
         assert M[0, 0] == pytest.approx(l1, rel=1e-9)
 
     def test_unsupported_dimension(self):
-        # only the matrix route's direction grids stop at n = 3
-        p = params_for(4, 2.0)
-        with pytest.raises(UnsupportedDimensionError):
-            multiplier_matrix(p, [1.0, 0.0, 0.0, 0.0])
-        assert all(np.isfinite(oracle_multipliers(p, 1.0)))
+        # only the test-local matrix route's direction grids stop at n = 3
+        assert all(np.isfinite(oracle_multipliers(params_for(4, 2.0), 1.0)))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_higher_dimensions_match_series(self, n):
-        # the self-test lattice's (beta - n, delta, nu) points, held to criterion 2's 1e-5
+        # criterion 2's lattice's (beta - n, delta, nu) points, held to its 1e-5
         lattice = [
             (n, n + db, delta, nu)
             for db in (-1.0, -0.5, 0.0, 0.5, 1.0)
             for delta in (0.5, 1.0, 2.0)
             for nu in (0.5, 2.0, 10.0)
         ]
-        report = oracle_selftest(lattice=lattice, tol=1e-12)
-        assert [e.status for e in report.entries] == ["ok"] * 45
-        assert report.max_rel_discrepancy <= 1e-5
+        report = oracle_report(lattice)
+        assert [e["status"] for e in report["entries"]] == ["ok"] * 45
+        assert report["max_rel_discrepancy"] <= 1e-5
 
     def test_two_grids_per_workload_point(self, monkeypatch):
         # the oracle-crosscheck materials converge at the first refinement
@@ -194,13 +233,16 @@ class TestOracleMultipliers:
         with pytest.raises(SingularKernelError):
             oracle_multipliers(params_for(3, 5.0), 1.0)
 
-    def test_refinement_self_consistency(self):
+    def test_refinement_self_consistency(self, monkeypatch):
         # a deliberately coarse starting grid must still converge to the
-        # default-spec answer via refinement
+        # default grid's answer via refinement
         p = params_for(3, 3.0)
-        coarse = QuadratureSpec(radial_points=16, angular_points=8, max_refinements=5)
-        a = oracle_multipliers(p, 2.0, coarse)
         b = oracle_multipliers(p, 2.0)
+        monkeypatch.setattr(oracle, "RADIAL_POINTS", 16)
+        monkeypatch.setattr(oracle, "ANGULAR_POINTS", 8)
+        monkeypatch.setattr(oracle, "TARGET_REL_ERR", 1e-7)
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 5)
+        a = oracle_multipliers(p, 2.0)
         assert a[0] == pytest.approx(b[0], rel=1e-6)
         assert a[1] == pytest.approx(b[1], rel=1e-6)
 
@@ -249,26 +291,24 @@ class TestMultiplierMatrix:
 
 class TestSelfTest:
     def test_empty_lattice_passes(self):
-        report = oracle_selftest(lattice=[])
-        assert report.passed
-        assert report.max_rel_discrepancy == 0.0
-        assert report.entries == []
+        report = oracle_report([])
+        assert report["passed"]
+        assert report["max_rel_discrepancy"] == 0.0
+        assert report["entries"] == []
 
-    def test_unsupported_entry_flagged(self):
-        report = oracle_selftest(lattice=[(3, 5.0, 1.0, 2.0), (3, 2.0, 1.0, 2.0)])
-        statuses = [e.status for e in report.entries]
-        assert statuses == ["unsupported", "ok"]
-        assert report.passed
+    def test_singular_point_raises(self):
+        with pytest.raises(SingularKernelError):
+            oracle_report([(3, 2.0, 1.0, 2.0), (3, 5.0, 1.0, 2.0)])
 
     def test_small_lattice_report(self):
         lattice = [(n, float(n), 1.0, 2.0) for n in (1, 2, 3)]
-        report = oracle_selftest(lattice=lattice)
-        assert report.passed
-        assert report.max_rel_discrepancy <= report.threshold
-        for e in report.entries:
-            assert e.series is not None and e.quadrature is not None
+        report = oracle_report(lattice)
+        assert report["passed"]
+        assert report["max_rel_discrepancy"] <= report["threshold"]
+        for e in report["entries"]:
+            assert e["series"] is not None and e["quadrature"] is not None
 
     def test_report_json_matches_schema(self):
-        report = oracle_selftest(lattice=[(2, 1.5, 1.0, 0.5), (2, 4.0, 1.0, 0.5)])
-        payload = json.loads(report.to_json())
+        report = oracle_report([(2, 1.5, 1.0, 0.5), (2, 3.5, 1.0, 0.5)])
+        payload = json.loads(json.dumps(report, sort_keys=True))
         jsonschema.validate(payload, load_schema("oracle_selftest_report.schema.json"))

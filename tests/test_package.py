@@ -29,6 +29,18 @@ def test_package_imports_only_at_module_level(module):
     assert _nested_perispec_imports(module) == []
 
 
+def test_oracle_imports_only_material():
+    # the oracle shares no code with the series route it cross-checks
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("perispec")):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("perispec"))
+    assert imported == {".material"}
+
+
 @pytest.mark.parametrize("name", perispec.__all__)
 def test_every_public_name_resolves(name):
     assert getattr(perispec, name) is not None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perispec.tables as tables
 from perispec.asymptotics import BranchInstabilityWarning
 from perispec.tables import figure_table, wavenumber_grid
 
@@ -48,9 +49,10 @@ class TestWavenumberGrid:
 
 
 class TestFigureTable:
-    def test_branch_warning_once_per_panel(self):
+    def test_branch_warning_once_per_panel(self, monkeypatch):
+        monkeypatch.setattr(tables, "FIGURE_POINTS", 5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = figure_table(2, 2.0 + 1e-10, 1.0, points=5)
+            rows = figure_table(2, 2.0 + 1e-10, 1.0)
         assert [w.category for w in caught] == [BranchInstabilityWarning]
         assert [r.branch for r in rows] == [""] + ["logarithmic"] * 4
