@@ -13,13 +13,9 @@ The oracle's names here (``perispec.oracle_multipliers``, ``perispec.oracle``,
 import importlib
 
 from .asymptotics import (
-    AsymptoticBranch,
     BranchInstabilityWarning,
-    ErrorEnvelope,
-    GrowthClass,
     asym_lambda1,
     asym_lambda2,
-    branch_for,
     classify_growth,
     error_envelope,
 )
@@ -38,20 +34,17 @@ from .hyper import (
     eval_pfq,
     required_bits,
 )
-from .material import DerivedParams, MaterialParams, WaveNumber, derive
+from .material import DerivedParams, MaterialParams, derive
 from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, reciprocal_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticBranch",
     "BranchInstabilityWarning",
     "DerivedParams",
-    "ErrorEnvelope",
     "EULER_GAMMA",
     "EvalResult",
     "GammaPoleError",
-    "GrowthClass",
     "HypergeometricSeries",
     "InvalidSeriesError",
     "MaterialParams",
@@ -59,10 +52,8 @@ __all__ = [
     "QuadratureConvergenceError",
     "SingularKernelError",
     "SpectrumSample",
-    "WaveNumber",
     "asym_lambda1",
     "asym_lambda2",
-    "branch_for",
     "classify_growth",
     "derive",
     "digamma",

@@ -16,11 +16,13 @@ and analogously for lambda11 (coefficient (n-beta-1)/(n-beta), prefactor
 (pure power z^(2(beta-n-1))).  At beta = n the two power-branch terms merge
 into the double-pole logarithm; within ``BRANCH_TOLERANCE`` of that point the
 power branch subtracts two nearly identical huge terms, so the logarithmic
-branch is used instead.
+branch is used instead.  ``classify_growth`` alone tests that window, and the
+forms take the logarithmic branch exactly where it says "log_divergent".
 
 The discarded oscillatory terms give the error envelopes: absolute error
 ~ C * z^(-(n+3)/2) for lambda2 and ~ C * z^(-(n+1)/2) for lambda11 (the
-dyadic part of lambda1), which is what the envelope-slope validation fits.
+dyadic part of lambda1).  The envelope-slope validation fits the exponents
+that ``envelope_for`` returns.
 
 ``AsymptoticForms`` computes one material's branch and constants once, when
 it is built; its ``parts(z)`` gives lambda11, lambda12 and lambda2 at any
@@ -30,13 +32,11 @@ and build one per call.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .material import DerivedParams, MaterialParams, WaveNumber, derive
+from .material import MaterialParams, derive, z_of
 from .special import EULER_GAMMA, digamma, gamma, reciprocal_gamma
 
 #: Width of the logarithmic-branch window around beta = n.
@@ -49,84 +49,53 @@ class BranchInstabilityWarning(RuntimeWarning):
     """beta is so close to n that the power branch would cancel catastrophically."""
 
 
-class AsymptoticBranch(enum.Enum):
-    POWER_LAW = "power_law"
-    LOGARITHMIC = "logarithmic"
-
-
-@dataclass(frozen=True)
-class ErrorEnvelope:
-    """Decay law of the neglected oscillatory terms for one eigenvalue."""
-
-    decay_exponent: float
-
-
-@dataclass(frozen=True)
-class GrowthClass:
-    """Large-wavenumber growth classification of the spectrum."""
-
-    kind: str  # "bounded" | "log_divergent" | "power_divergent"
-    rate: Optional[float] = None  # z-exponent, for the power-divergent case
-
-
-def _require_subcritical(params: MaterialParams) -> None:
-    if not params.beta < params.n + 2:
-        raise ValueError(
-            f"asymptotic formulas require beta < n+2, got beta = {params.beta} with n = {params.n}"
-        )
-
-
-def _z_of(params: MaterialParams, nu_norm: float) -> float:
-    return _positive(WaveNumber.of(params, nu_norm).z)
-
-
 def _positive(z: float) -> float:
     if z <= 0.0:
         raise ValueError("asymptotic forms need nu_norm > 0 (log z and negative powers)")
     return z
 
 
-def branch_for(params: MaterialParams) -> AsymptoticBranch:
-    """Logarithmic branch within BRANCH_TOLERANCE of beta = n, else power law."""
-    _require_subcritical(params)
+def classify_growth(params: MaterialParams) -> str:
+    """The growth class: "bounded" for beta < n, "log_divergent" within
+    BRANCH_TOLERANCE of beta = n, else "power_divergent", like z^(beta-n)
+    (the slower z^(2(beta-n-1)) part never wins below beta = n+2)."""
+    if not params.beta < params.n + 2:
+        raise ValueError(f"asymptotic formulas require beta < n+2, got beta = {params.beta} with n = {params.n}")
     gap = params.beta - params.n
     if abs(gap) < BRANCH_TOLERANCE:
-        if gap != 0.0:
-            warnings.warn(
-                f"beta - n = {gap:.3e} lies inside the branch tolerance "
-                f"{BRANCH_TOLERANCE:g}; using the logarithmic branch",
-                BranchInstabilityWarning,
-                stacklevel=2,
-            )
-        return AsymptoticBranch.LOGARITHMIC
-    return AsymptoticBranch.POWER_LAW
+        return "log_divergent"
+    return "bounded" if gap < 0 else "power_divergent"
 
 
 def bounded_limit(params: MaterialParams) -> float:
     """-4 mu a b / (delta^2 (a-1)): the residue at s = -1, common to lambda2
     and lambda11 on the power branch, and their large-z limit for beta < n."""
-    return _limit(params, derive(params))
-
-
-def _limit(params: MaterialParams, d: DerivedParams) -> float:
+    d = derive(params)
     return -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (d.a - 1.0))
 
 
 class AsymptoticForms:
     """The large-z forms above for one material (beta < n+2).
 
-    The constructor picks the branch and computes its z-independent constants
-    (``bounded_limit`` and the coefficient products, or psi(b)) and lambda12's
-    coefficient, so one object serves any number of wavenumbers.  ``parts``
-    takes z = delta ||nu|| / 2 > 0 and evaluates each formula's floating-point
-    expression in its original order.
+    The constructor picks the branch ("logarithmic" where ``classify_growth``
+    says "log_divergent", else "power_law"), computes its z-independent
+    constants (``bounded_limit`` and the coefficient products, or psi(b)) and
+    lambda12's coefficient, so one object serves any number of wavenumbers.
+    ``parts`` takes z = delta ||nu|| / 2 > 0 and evaluates each formula's
+    floating-point expression in its original order.
     """
 
     def __init__(self, params: MaterialParams):
-        _require_subcritical(params)
         self.params = p = params
-        self.branch = branch_for(p).value  # the AsymptoticBranch value these forms use
-        self._logarithmic = self.branch == AsymptoticBranch.LOGARITHMIC.value
+        self._logarithmic = classify_growth(p) == "log_divergent"  # also rejects beta >= n+2
+        self.branch = "logarithmic" if self._logarithmic else "power_law"
+        if self._logarithmic and p.beta != p.n:
+            warnings.warn(
+                f"beta - n = {p.beta - p.n:.3e} lies inside the branch tolerance "
+                f"{BRANCH_TOLERANCE:g}; using the logarithmic branch",
+                BranchInstabilityWarning,
+                stacklevel=2,  # the line that built the forms
+            )
         d = derive(p)
         if self._logarithmic:  # -(4 mu a b / delta^2) and psi(b)
             self._constants = -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
@@ -134,7 +103,7 @@ class AsymptoticForms:
             g_b, g_a, rg = gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
             coeff2 = g_b * g_a * rg / (0.5 * (p.beta - p.n))
             coeff11 = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
-            limit = _limit(p, d)
+            limit = bounded_limit(p)
             self._constants = limit, coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
         # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
         coeff12 = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
@@ -160,18 +129,17 @@ class AsymptoticForms:
 
 
 def asym_lambda2(params: MaterialParams, nu_norm: float) -> float:
-    z = _z_of(params, nu_norm)
-    return AsymptoticForms(params).parts(z)[2]
+    return AsymptoticForms(params).parts(z_of(params, nu_norm))[2]
 
 
 def asym_lambda1(params: MaterialParams, nu_norm: float) -> float:
-    z = _z_of(params, nu_norm)
-    l11, l12, _ = AsymptoticForms(params).parts(z)
+    l11, l12, _ = AsymptoticForms(params).parts(z_of(params, nu_norm))
     return l11 + l12
 
 
-def envelope_for(which: str, params: MaterialParams) -> ErrorEnvelope:
-    """Decay law of |exact - asymptotic| for 'lambda2' or 'lambda11'.
+def envelope_for(which: str, params: MaterialParams) -> float:
+    """z-exponent of the decay of |exact - asymptotic| for 'lambda2' or
+    'lambda11'.
 
     The oscillatory terms of the underlying series decay like
     |z|^(-(n+7)/2) (transverse) and |z|^(-(n+5)/2) (longitudinal dyadic);
@@ -179,9 +147,9 @@ def envelope_for(which: str, params: MaterialParams) -> ErrorEnvelope:
     """
     n = params.n
     if which == "lambda2":
-        return ErrorEnvelope(decay_exponent=-(n + 3.0) / 2.0)
+        return -(n + 3.0) / 2.0
     if which == "lambda11":
-        return ErrorEnvelope(decay_exponent=-(n + 1.0) / 2.0)
+        return -(n + 1.0) / 2.0
     raise ValueError(f"which must be 'lambda2' or 'lambda11', got {which!r}")
 
 
@@ -193,23 +161,11 @@ def error_envelope(which: str, params: MaterialParams, nu_norm: float) -> float:
     series prefactor mu ||nu||^2 a Gamma(b+1)) and twice that for lambda11.
     Not a hard bound: the tests hold the asymptotics to 1.5 times it.
     """
-    z = _z_of(params, nu_norm)
-    env = envelope_for(which, params)
+    z = _positive(z_of(params, nu_norm))
+    exponent = envelope_for(which, params)
     d = derive(params)
     base = 4.0 * params.mu * d.a * gamma(d.b + 1.0) / (params.delta ** 2 * _SQRT_PI)
     if which == "lambda11":
         base *= 2.0
-    return base * z ** env.decay_exponent
+    return base * z ** exponent
 
-
-def classify_growth(params: MaterialParams) -> GrowthClass:
-    """Bounded for beta < n, logarithmically divergent at beta = n, else
-    divergent like z^(beta-n) (the slower z^(2(beta-n-1)) part never wins
-    below beta = n+2)."""
-    _require_subcritical(params)
-    gap = params.beta - params.n
-    if abs(gap) < BRANCH_TOLERANCE:
-        return GrowthClass(kind="log_divergent")
-    if gap < 0:
-        return GrowthClass(kind="bounded")
-    return GrowthClass(kind="power_divergent", rate=gap)

@@ -30,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .asymptotics import AsymptoticForms
 from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_contiguous
-from .material import DerivedParams, MaterialParams, WaveNumber, check_nu_norms, derive  # re-exported
+from .material import DerivedParams, MaterialParams, check_nu_norms, derive, z_of  # re-exported
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
@@ -90,19 +90,19 @@ class _Plan:
     def forms(self) -> AsymptoticForms:
         return AsymptoticForms(self.params)
 
-    def lambdas(self, w: WaveNumber, tol: float, series: Sequence[str]) -> List[EvalResult]:
-        """lambda2, lambda11 or lambda12 at one wavenumber for each of the
-        ``series`` named ("transverse", "dyadic", "coupling"), in order, all
-        summed in one ``eval_contiguous`` walk of the transverse terms."""
+    def lambdas(self, nu: float, z: float, tol: float, series: Sequence[str]) -> List[EvalResult]:
+        """lambda2, lambda11 or lambda12 at one wavenumber ``nu`` (with
+        z = ``z_of(params, nu)``) for each of the ``series`` named
+        ("transverse", "dyadic", "coupling"), in order, all summed in one
+        ``eval_contiguous`` walk of the transverse terms."""
         params = self.params
-        nu = w.nu_norm
         live = () if nu == 0.0 else series
         if params.lambda_star == params.mu and "coupling" in live:
             live = [name for name in live if name != "coupling"]
         sums = {}
         if live:
             weights = [self.weights[name] for name in live]
-            sums = dict(zip(live, eval_contiguous(self.transverse, weights, w.z * w.z, tol)))
+            sums = dict(zip(live, eval_contiguous(self.transverse, weights, z * z, tol)))
         out = []
         for name in series:
             res = sums.get(name)
@@ -126,14 +126,18 @@ def transverse_series(params: MaterialParams) -> HypergeometricSeries:
 
 def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
-    return _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("transverse",))[0]
+    z = z_of(params, nu_norm)
+    check_target_rel_err(tol)
+    return _Plan(params).lambdas(nu_norm, z, tol, ("transverse",))[0]
 
 
 def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Longitudinal eigenvalue lambda11 + lambda12 with combined error, both
     parts from one walk of the transverse terms.  The parts themselves are
     the lambda11 and lambda12 columns of ``eval_spectrum``'s rows."""
-    r11, r12 = _Plan(params).lambdas(WaveNumber.of(params, nu_norm), tol, ("dyadic", "coupling"))
+    z = z_of(params, nu_norm)
+    check_target_rel_err(tol)
+    r11, r12 = _Plan(params).lambdas(nu_norm, z, tol, ("dyadic", "coupling"))
     return EvalResult(
         value=r11.value + r12.value,
         abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
@@ -177,7 +181,7 @@ def eval_spectrum(
     check_target_rel_err(tol)
 
     plan = _Plan(params)
-    half_delta = 0.5 * params.delta  # z = half_delta * nu is WaveNumber.of's double
+    half_delta = 0.5 * params.delta  # z = half_delta * nu is z_of's double
     subcritical = params.beta < params.n + 2
     samples = []
     for nu in nus:
@@ -201,7 +205,7 @@ def eval_spectrum(
         else:
             asym1 = asym2 = None
             branch = ""
-        r2, r11, r12 = plan.lambdas(WaveNumber(nu, z), tol, ("transverse", "dyadic", "coupling"))
+        r2, r11, r12 = plan.lambdas(nu, z, tol, ("transverse", "dyadic", "coupling"))
         l1 = r11.value + r12.value
         if not (isfinite(l1) and isfinite(r2.value)):
             raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")

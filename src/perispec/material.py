@@ -3,7 +3,8 @@
 The series (``eigenvalues``), the closed-form asymptotics (``asymptotics``)
 and the quadrature oracle (``oracle``) all take a ``MaterialParams`` and a
 wavenumber, and all need the shorthand a, b and the kernel constant c that
-``derive`` computes from it.
+``derive`` computes from it.  The series and the asymptotics read the
+wavenumber through z = delta * ||nu|| / 2, which ``z_of`` computes.
 """
 
 from __future__ import annotations
@@ -53,17 +54,11 @@ class DerivedParams:
     c: float
 
 
-@dataclass(frozen=True)
-class WaveNumber:
-    """A wavenumber magnitude with its dimensionless companion z."""
-
-    nu_norm: float
-    z: float
-
-    @classmethod
-    def of(cls, params: MaterialParams, nu_norm: float) -> "WaveNumber":
-        check_nu_norms((nu_norm,))
-        return cls(nu_norm=nu_norm, z=0.5 * params.delta * nu_norm)
+def z_of(params: MaterialParams, nu_norm: float) -> float:
+    """z = delta * nu_norm / 2, the one variable of the series and the
+    asymptotic forms, after checking nu_norm as ``check_nu_norms`` does."""
+    check_nu_norms((nu_norm,))
+    return 0.5 * params.delta * nu_norm
 
 
 def check_nu_norms(nu_norms: Iterable[float]) -> None:

@@ -24,6 +24,7 @@ from .eigenvalues import (
     lambda2,
     navier_eigenvalues,
     transverse_series,
+    z_of,
 )
 from .hyper import eval_pfq, eval_pfq_float64, required_bits
 
@@ -134,7 +135,7 @@ def check_boundedness_classification() -> CheckResult:
 
     for n, beta in ((2, 1.0), (3, 2.0), (1, 1.0), (2, 2.0), (3, 3.0)):
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
-        kind = asymptotics.classify_growth(params).kind
+        kind = asymptotics.classify_growth(params)
         if kind == "bounded":
             limit = asymptotics.bounded_limit(params)
             val = lambda2(params, 1e4).value
@@ -192,13 +193,13 @@ def check_envelope_slopes() -> CheckResult:
         params = MaterialParams(n=n, delta=1.0, beta=beta, mu=1.0, lambda_star=2.0)
         forms = asymptotics.AsymptoticForms(params)
         rows = eval_spectrum(params, 2.0 * zs / params.delta, math.inf, 1e-12)
-        parts = [forms.parts(0.5 * params.delta * r.nu_norm) for r in rows]  # WaveNumber.of's z
+        parts = [forms.parts(z_of(params, r.nu_norm)) for r in rows]
         err2 = np.array([abs(r.lambda2 - l2) for r, (_, _, l2) in zip(rows, parts)])
         err11 = np.array([abs(r.lambda11 - l11) for r, (l11, _, _) in zip(rows, parts)])
         slope2 = block_maxima_slope(zs, err2)
         slope11 = block_maxima_slope(zs, err11)
-        want2 = asymptotics.envelope_for("lambda2", params).decay_exponent
-        want11 = asymptotics.envelope_for("lambda11", params).decay_exponent
+        want2 = asymptotics.envelope_for("lambda2", params)
+        want11 = asymptotics.envelope_for("lambda11", params)
         ok = abs(slope2 - want2) <= tol and abs(slope11 - want11) <= tol
         passed &= ok
         details.append(
@@ -253,7 +254,7 @@ def _check_panel(dim: int, beta: float, delta: float) -> Tuple[bool, str]:
 
     # (c) bounded below the critical exponent, monotone divergence at/above it
     params = MaterialParams(n=dim, delta=delta, beta=beta, mu=1.0, lambda_star=2.0)
-    if asymptotics.classify_growth(params).kind == "bounded":
+    if asymptotics.classify_growth(params) == "bounded":
         bound = 1.25 * abs(asymptotics.bounded_limit(params))
         ok_growth = bool(np.all(np.abs(l1) <= bound) and np.all(np.abs(l2) <= bound))
         kind = "bounded"
@@ -302,7 +303,7 @@ def check_cancellation_regression() -> CheckResult:
     t0 = time.monotonic()
     params = MaterialParams(n=3, delta=2.0, beta=2.0, mu=1.0, lambda_star=2.0)
     series = transverse_series(params)
-    z = 0.5 * params.delta * 30.0
+    z = z_of(params, 30.0)
     z_sq = z * z
     ext = eval_pfq(series, z_sq, 1e-12)
     naive = eval_pfq_float64(series, z_sq)

@@ -1,15 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from perispec.asymptotics import (
-    AsymptoticBranch,
+    BRANCH_TOLERANCE,
     AsymptoticForms,
     BranchInstabilityWarning,
     asym_lambda1,
     asym_lambda2,
-    branch_for,
     classify_growth,
     envelope_for,
     error_envelope,
@@ -24,26 +24,42 @@ def params_for(n, beta, delta=1.0, mu=1.0, lambda_star=2.0):
 
 class TestBranchSelection:
     def test_power_law_away_from_critical(self):
-        assert branch_for(params_for(3, 2.0)) is AsymptoticBranch.POWER_LAW
-        assert branch_for(params_for(3, 4.0)) is AsymptoticBranch.POWER_LAW
+        assert AsymptoticForms(params_for(3, 2.0)).branch == "power_law"
+        assert AsymptoticForms(params_for(3, 4.0)).branch == "power_law"
 
     def test_logarithmic_at_critical(self):
-        assert branch_for(params_for(2, 2.0)) is AsymptoticBranch.LOGARITHMIC
+        assert AsymptoticForms(params_for(2, 2.0)).branch == "logarithmic"
 
     def test_instability_warning_inside_tolerance(self):
         p = params_for(2, 2.0 + 1e-10)
         with pytest.warns(BranchInstabilityWarning):
-            assert branch_for(p) is AsymptoticBranch.LOGARITHMIC
+            assert AsymptoticForms(p).branch == "logarithmic"
 
     def test_navier_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            branch_for(params_for(3, 5.0))
+            AsymptoticForms(params_for(3, 5.0))
 
     def test_zero_wavenumber_rejected(self):
         with pytest.raises(ValueError):
             asym_lambda2(params_for(3, 2.0), 0.0)
         with pytest.raises(ValueError):
             AsymptoticForms(params_for(3, 2.0)).parts(0.0)
+
+
+class TestBranchWindow:
+    # classify_growth owns the |beta - n| < BRANCH_TOLERANCE window; the forms'
+    # branch and the instability warning must follow it at the window's edges
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gap", [0.0, 5e-10, -5e-10, 2e-9, -2e-9, 0.25, -0.25])
+    def test_branch_and_warning_follow_classification(self, n, gap):
+        p = params_for(n, n + gap)
+        inside = 0.0 < abs(p.beta - n) < BRANCH_TOLERANCE
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            forms = AsymptoticForms(p)
+        assert (forms.branch == "logarithmic") == (classify_growth(p) == "log_divergent")
+        assert forms.branch == ("logarithmic" if abs(gap) < BRANCH_TOLERANCE else "power_law")
+        assert [w.category for w in caught] == [BranchInstabilityWarning] * inside
 
 
 class TestTransverseAsymptote:
@@ -179,7 +195,7 @@ class TestErrorEnvelope:
         ],
     )
     def test_decay_exponents(self, which, n, exponent):
-        assert envelope_for(which, params_for(n, float(n))).decay_exponent == exponent
+        assert envelope_for(which, params_for(n, float(n))) == exponent
 
     def test_envelope_value_scales(self):
         p = params_for(3, 2.0)
@@ -194,15 +210,13 @@ class TestErrorEnvelope:
 
 class TestGrowthClassification:
     def test_bounded(self):
-        assert classify_growth(params_for(3, 2.0)).kind == "bounded"
+        assert classify_growth(params_for(3, 2.0)) == "bounded"
 
     def test_logarithmic(self):
-        assert classify_growth(params_for(2, 2.0)).kind == "log_divergent"
+        assert classify_growth(params_for(2, 2.0)) == "log_divergent"
 
     def test_power_rate_is_linear_one_above_critical(self):
-        g = classify_growth(params_for(3, 4.0))
-        assert g.kind == "power_divergent"
-        assert g.rate == pytest.approx(1.0)
+        assert classify_growth(params_for(3, 4.0)) == "power_divergent"
 
     def test_navier_endpoint_rejected(self):
         with pytest.raises(ValueError):

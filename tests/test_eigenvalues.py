@@ -12,12 +12,12 @@ import pytest
 from perispec.asymptotics import AsymptoticForms, BranchInstabilityWarning, asym_lambda1, asym_lambda2
 from perispec.eigenvalues import (
     MaterialParams,
-    WaveNumber,
     derive,
     eval_spectrum,
     lambda1,
     lambda2,
     navier_eigenvalues,
+    z_of,
 )
 from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, eval_pfq
 from test_hyper import bruteforce_pfq
@@ -53,8 +53,7 @@ class TestMaterialParams:
 
     def test_wavenumber_mapping(self):
         p = params_for(3, 2.0, delta=2.0)
-        w = WaveNumber.of(p, 3.0)
-        assert w.z == 3.0  # delta * nu / 2
+        assert z_of(p, 3.0) == 3.0  # delta * nu / 2
 
     def test_slots_keep_value_semantics(self):
         p = params_for(3, 2.0, delta=2.0)
@@ -168,6 +167,14 @@ class TestLambda1:
             total = lambda1(p, nu).value
             row = series_row(p, nu)
             assert total == pytest.approx(row.lambda11 + row.lambda12, rel=1e-12)
+
+
+@pytest.mark.parametrize("wrapper", [lambda1, lambda2])
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_tolerance_checked_at_every_wavenumber(wrapper, nu):
+    # nu = 0 sums no series, but an out-of-range tol is still an error, as in eval_spectrum
+    with pytest.raises(ValueError):
+        wrapper(params_for(3, 2.0), nu, 5.0)
 
 
 class TestNavier:
@@ -365,7 +372,7 @@ def separate_sum(params, nu, tol, part):
         "lambda11": (HypergeometricSeries((1.0, 2.5, d.a), (2.0, 1.5, d.b + 1.0, d.a + 1.0)), -3.0 * mu * nu * nu),
         "lambda12": (HypergeometricSeries((d.a,), (d.b, d.a + 1.0)), -(lam - mu) * nu * nu),
     }[part]
-    z = WaveNumber.of(params, nu).z
+    z = z_of(params, nu)
     try:
         res = eval_pfq(series, z * z, tol)
     except PrecisionExhaustedError as exc:
