@@ -12,13 +12,7 @@ The oracle's names here (``perispec.oracle_multipliers``, ``perispec.oracle``,
 
 import importlib
 
-from .asymptotics import (
-    BranchInstabilityWarning,
-    asym_lambda1,
-    asym_lambda2,
-    classify_growth,
-    error_envelope,
-)
+from .asymptotics import asym_lambda2, classify_growth, error_envelope
 from .eigenvalues import (
     SpectrumSample,
     eval_spectrum,
@@ -35,16 +29,14 @@ from .hyper import (
     required_bits,
 )
 from .material import DerivedParams, MaterialParams, derive
-from .special import EULER_GAMMA, GammaPoleError, digamma, gamma, reciprocal_gamma
+from .special import EULER_GAMMA, digamma, reciprocal_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchInstabilityWarning",
     "DerivedParams",
     "EULER_GAMMA",
     "EvalResult",
-    "GammaPoleError",
     "HypergeometricSeries",
     "InvalidSeriesError",
     "MaterialParams",
@@ -52,7 +44,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "SingularKernelError",
     "SpectrumSample",
-    "asym_lambda1",
     "asym_lambda2",
     "classify_growth",
     "derive",
@@ -60,7 +51,6 @@ __all__ = [
     "error_envelope",
     "eval_pfq",
     "eval_spectrum",
-    "gamma",
     "lambda1",
     "lambda2",
     "navier_eigenvalues",

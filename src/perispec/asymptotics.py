@@ -26,27 +26,22 @@ that ``envelope_for`` returns.
 
 ``AsymptoticForms`` computes one material's branch and constants once, when
 it is built; its ``parts(z)`` gives lambda11, lambda12 and lambda2 at any
-number of wavenumbers.  ``asym_lambda1`` and ``asym_lambda2`` take ||nu||
-and build one per call.
+number of wavenumbers.  ``asym_lambda2`` takes ||nu|| and builds one per
+call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Tuple
 
 from .material import MaterialParams, derive, z_of
-from .special import EULER_GAMMA, digamma, gamma, reciprocal_gamma
+from .special import EULER_GAMMA, digamma, reciprocal_gamma
 
 #: Width of the logarithmic-branch window around beta = n.
 BRANCH_TOLERANCE = 1e-9
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-class BranchInstabilityWarning(RuntimeWarning):
-    """beta is so close to n that the power branch would cancel catastrophically."""
 
 
 def _positive(z: float) -> float:
@@ -69,9 +64,12 @@ def classify_growth(params: MaterialParams) -> str:
 
 def bounded_limit(params: MaterialParams) -> float:
     """-4 mu a b / (delta^2 (a-1)): the residue at s = -1, common to lambda2
-    and lambda11 on the power branch, and their large-z limit for beta < n."""
+    and lambda11 on the power branch, and their large-z limit for beta < n.
+    a - 1 is taken as the exact (n - beta)/2, like the power term's beta - n:
+    near beta = n their two ~1/(beta - n) terms cancel, which a rounded
+    a - 1.0 would spoil."""
     d = derive(params)
-    return -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (d.a - 1.0))
+    return -4.0 * params.mu * d.a * d.b / (params.delta ** 2 * (0.5 * (params.n - params.beta)))
 
 
 class AsymptoticForms:
@@ -89,24 +87,17 @@ class AsymptoticForms:
         self.params = p = params
         self._logarithmic = classify_growth(p) == "log_divergent"  # also rejects beta >= n+2
         self.branch = "logarithmic" if self._logarithmic else "power_law"
-        if self._logarithmic and p.beta != p.n:
-            warnings.warn(
-                f"beta - n = {p.beta - p.n:.3e} lies inside the branch tolerance "
-                f"{BRANCH_TOLERANCE:g}; using the logarithmic branch",
-                BranchInstabilityWarning,
-                stacklevel=2,  # the line that built the forms
-            )
         d = derive(p)
         if self._logarithmic:  # -(4 mu a b / delta^2) and psi(b)
             self._constants = -(4.0 * p.mu * d.a * d.b / p.delta ** 2), digamma(d.b)
         else:  # bounded_limit and coeff * (prefactor / delta^2) of lambda2 and lambda11
-            g_b, g_a, rg = gamma(d.b + 1.0), gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
+            g_b, g_a, rg = math.gamma(d.b + 1.0), math.gamma(d.a + 1.0), reciprocal_gamma(0.5 * (p.beta + 2.0))
             coeff2 = g_b * g_a * rg / (0.5 * (p.beta - p.n))
             coeff11 = (p.n - p.beta - 1.0) / (p.n - p.beta) * g_b * g_a * rg
             limit = bounded_limit(p)
             self._constants = limit, coeff2 * (4.0 * p.mu / p.delta ** 2), coeff11 * (8.0 * p.mu / p.delta ** 2)
         # reciprocal_gamma makes beta in {0, -2, -4, ...} an exact zero, not a pole error
-        coeff12 = gamma(d.b) * gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
+        coeff12 = math.gamma(d.b) * math.gamma(d.a + 1.0) * reciprocal_gamma(0.5 * p.beta)
         self._lambda12_scale = -(p.lambda_star - p.mu) * coeff12 * coeff12 * (4.0 / p.delta ** 2)
 
     def parts(self, z: float) -> Tuple[float, float, float]:
@@ -130,11 +121,6 @@ class AsymptoticForms:
 
 def asym_lambda2(params: MaterialParams, nu_norm: float) -> float:
     return AsymptoticForms(params).parts(z_of(params, nu_norm))[2]
-
-
-def asym_lambda1(params: MaterialParams, nu_norm: float) -> float:
-    l11, l12, _ = AsymptoticForms(params).parts(z_of(params, nu_norm))
-    return l11 + l12
 
 
 def envelope_for(which: str, params: MaterialParams) -> float:
@@ -164,7 +150,7 @@ def error_envelope(which: str, params: MaterialParams, nu_norm: float) -> float:
     z = _positive(z_of(params, nu_norm))
     exponent = envelope_for(which, params)
     d = derive(params)
-    base = 4.0 * params.mu * d.a * gamma(d.b + 1.0) / (params.delta ** 2 * _SQRT_PI)
+    base = 4.0 * params.mu * d.a * math.gamma(d.b + 1.0) / (params.delta ** 2 * _SQRT_PI)
     if which == "lambda11":
         base *= 2.0
     return base * z ** exponent

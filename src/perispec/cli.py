@@ -16,6 +16,7 @@ per number, the text ``tables.format_cell`` gives each cell.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -136,6 +137,7 @@ def _add_material_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-star", dest="lambda_star", type=float, default=2.0, help="second Lame parameter")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perispec",
@@ -182,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # no name keeps the parser alive through the command, so a young collection frees its reference cycles
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -192,7 +192,7 @@ def eval_spectrum(
                 l11, l12, l2 = forms.parts(z)
             except OverflowError:  # z ** negative at a tiny z
                 l11 = l12 = l2 = inf
-            l1 = l11 + l12  # bitwise asym_lambda1, which adds the same two parts
+            l1 = l11 + l12
             if z > z_switch:
                 if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
                     raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")

@@ -143,7 +143,7 @@ def _products(scale: int, factors: tuple, start: int, stop: int) -> Iterator[int
 
 def eval_contiguous(
     base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
-    target_rel_err: float = 1e-12, *, bits: Optional[int] = None, max_terms: Optional[int] = None,
+    target_rel_err: float = 1e-12, *, bits: Optional[int] = None,
 ) -> List[EvalResult]:
     """Sum t_k W(k) / W(0) at -z_sq for each weight W, from one walk of the base terms t_k.
 
@@ -173,7 +173,7 @@ def eval_contiguous(
     rescale a sum went through.
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
-    ``MAX_PRECISION_BITS`` or the term budget runs out.
+    ``MAX_PRECISION_BITS`` or the term budget ``default_max_terms`` runs out.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -188,7 +188,7 @@ def eval_contiguous(
         raise PrecisionExhaustedError(
             f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"
         )
-    cap = max_terms if max_terms is not None else default_max_terms(z)
+    cap = default_max_terms(z)
 
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
@@ -223,8 +223,7 @@ def eval_contiguous(
     while active:
         if k >= cap:
             raise PrecisionExhaustedError(
-                f"series did not converge within {cap} terms at z = {z:g} "
-                f"(past_peak={active[0][4]}); raise max_terms if the argument is legitimate"
+                f"series did not converge within {cap} terms at z = {z:g} (past_peak={active[0][4]})"
             )
         first = k
         last = min(first + size, cap)
@@ -317,11 +316,11 @@ def eval_contiguous(
 
 
 def eval_pfq(
-    series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12, **overrides
+    series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12, *, bits: Optional[int] = None
 ) -> EvalResult:
     """Sum pFq(a_1..a_p; b_1..b_q; -z_sq): ``eval_contiguous`` of the series
-    with the one weight W = 1, taking the same ``bits``/``max_terms`` overrides."""
-    return eval_contiguous(series, ((),), z_sq, target_rel_err, **overrides)[0]
+    with the one weight W = 1 and the same optional ``bits``."""
+    return eval_contiguous(series, ((),), z_sq, target_rel_err, bits=bits)[0]
 
 
 def eval_pfq_float64(series: HypergeometricSeries, z_sq: float, target_rel_err: float = 1e-12) -> float:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .special import gamma
-
 
 @dataclass(frozen=True, slots=True)
 class MaterialParams:
@@ -80,5 +78,5 @@ def derive(params: MaterialParams) -> DerivedParams:
     n, beta, delta = params.n, params.beta, params.delta
     a = 0.5 * (n + 2 - beta)
     b = 0.5 * (n + 2)
-    c = 2.0 * (n + 2 - beta) * gamma(0.5 * n + 1.0) / (math.pi ** (0.5 * n) * delta ** (n + 2 - beta))
+    c = 2.0 * (n + 2 - beta) * math.gamma(0.5 * n + 1.0) / (math.pi ** (0.5 * n) * delta ** (n + 2 - beta))
     return DerivedParams(a=a, b=b, c=c)

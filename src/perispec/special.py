@@ -1,8 +1,9 @@
 """Gamma-family special functions in double precision.
 
 Covers exactly what the eigenvalue formulas and their asymptotic coefficients
-consume: gamma, reciprocal gamma (entire, exact zeros at the poles), digamma
-at integer and half-integer arguments, and the Euler-Mascheroni constant.
+consume besides ``math.gamma``: reciprocal gamma (entire, exact zeros at the
+poles), digamma at integer and half-integer arguments, and the
+Euler-Mascheroni constant.
 """
 
 from __future__ import annotations
@@ -14,32 +15,11 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _LN2 = math.log(2.0)
 
 
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x away from the nonpositive integers.
-
-    Raises ``GammaPoleError`` at poles and ``OverflowError`` when the result
-    exceeds the double range (|x| beyond ~171.6).
-    """
-    if math.isnan(x):
-        raise ValueError("gamma argument is NaN")
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"gamma pole at x = {x}")
-    return math.gamma(x)  # C library Lanczos-type kernel with reflection
-
-
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x), entire in x; exactly 0 at the nonpositive integers."""
     if math.isnan(x):
         raise ValueError("reciprocal_gamma argument is NaN")
-    if _is_nonpositive_integer(x):
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x >= 0.5:
         # Gamma(x) > 0 here; going through lgamma keeps x > 171 from overflowing.

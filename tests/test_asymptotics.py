@@ -1,14 +1,13 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from perispec.asymptotics import (
     BRANCH_TOLERANCE,
     AsymptoticForms,
-    BranchInstabilityWarning,
-    asym_lambda1,
     asym_lambda2,
     classify_growth,
     envelope_for,
@@ -30,11 +29,6 @@ class TestBranchSelection:
     def test_logarithmic_at_critical(self):
         assert AsymptoticForms(params_for(2, 2.0)).branch == "logarithmic"
 
-    def test_instability_warning_inside_tolerance(self):
-        p = params_for(2, 2.0 + 1e-10)
-        with pytest.warns(BranchInstabilityWarning):
-            assert AsymptoticForms(p).branch == "logarithmic"
-
     def test_navier_endpoint_rejected(self):
         with pytest.raises(ValueError):
             AsymptoticForms(params_for(3, 5.0))
@@ -48,18 +42,16 @@ class TestBranchSelection:
 
 class TestBranchWindow:
     # classify_growth owns the |beta - n| < BRANCH_TOLERANCE window; the forms'
-    # branch and the instability warning must follow it at the window's edges
+    # branch must follow it at the window's edges, and no warning is raised there
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("gap", [0.0, 5e-10, -5e-10, 2e-9, -2e-9, 0.25, -0.25])
     def test_branch_and_warning_follow_classification(self, n, gap):
         p = params_for(n, n + gap)
-        inside = 0.0 < abs(p.beta - n) < BRANCH_TOLERANCE
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             forms = AsymptoticForms(p)
         assert (forms.branch == "logarithmic") == (classify_growth(p) == "log_divergent")
         assert forms.branch == ("logarithmic" if abs(gap) < BRANCH_TOLERANCE else "power_law")
-        assert [w.category for w in caught] == [BranchInstabilityWarning] * inside
 
 
 class TestTransverseAsymptote:
@@ -158,15 +150,18 @@ class TestCouplingAsymptote:
 
 class TestComposition:
     def test_sum_is_bitwise_exact(self):
+        # an asymptotic row's lambda1 is the two parts' sum, to the bit
         for n, beta in ((3, 2.0), (2, 2.0), (3, 4.0)):
             p = params_for(n, beta, delta=0.8, lambda_star=3.0)
             for nu in (3.0, 30.0, 300.0):
                 l11, l12, _ = AsymptoticForms(p).parts(0.5 * 0.8 * nu)
-                assert asym_lambda1(p, nu) == l12 + l11
+                (row,) = eval_spectrum(p, [nu], z_switch=0.5)
+                assert row.method == "asymptotic"
+                assert row.lambda1 == row.asym1 == l12 + l11
 
     def test_reduces_to_dyadic_when_lame_equal(self):
         p = params_for(3, 2.0, lambda_star=1.0)
-        assert asym_lambda1(p, 7.0) == AsymptoticForms(p).parts(3.5)[0]
+        assert sum(AsymptoticForms(p).parts(3.5)[:2]) == AsymptoticForms(p).parts(3.5)[0]
 
     def test_branch_consistency_near_critical(self):
         # power branch at beta = n +- 1e-6 converges to the log branch value
@@ -180,9 +175,32 @@ class TestComposition:
         # beta > n, lambda* >= mu: lambda1 <= lambda2 < 0 from z0 = 2 onward
         p = params_for(3, 4.0)
         for z in np.geomspace(2.0, 500.0, 12):
-            a1 = asym_lambda1(p, 2.0 * float(z))
+            a1 = sum(AsymptoticForms(p).parts(float(z))[:2])
             a2 = asym_lambda2(p, 2.0 * float(z))
             assert a1 <= a2 < 0.0
+
+
+class TestNearCriticalPowerBranch:
+    # just outside the branch window the power branch cancels two ~1/(beta-n)
+    # terms; the bounded limit's a - 1 must be as exact as the power term's beta - n
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [3e-9, -3e-9, 1e-6, -1e-6])
+    def test_matches_60_digit_formula(self, n, eps):
+        p = params_for(n, n + eps)
+        forms = AsymptoticForms(p)
+        assert forms.branch == "power_law"
+        with mpmath.workdps(60):
+            beta = mpmath.mpf(p.beta)
+            a, b = (n + 2 - beta) / 2, mpmath.mpf(n + 2) / 2
+            limit = -4 * a * b / (a - 1)
+            g = mpmath.gamma(b + 1) * mpmath.gamma(a + 1) / mpmath.gamma((beta + 2) / 2)
+            for z in (20.0, 500.0, 1e4):
+                power = mpmath.mpf(z) ** (beta - n)
+                want2 = limit - g / ((beta - n) / 2) * 4 * power
+                want11 = limit - (n - beta - 1) / (n - beta) * g * 8 * power
+                l11, _, l2 = forms.parts(z)
+                assert abs(l2 - want2) <= 1e-6 * abs(want2)
+                assert abs(l11 - want11) <= 1e-6 * abs(want11)
 
 
 class TestErrorEnvelope:

@@ -97,6 +97,21 @@ class TestEigsCommand:
         )
         assert "0.10000000000000001" in out
 
+    def test_near_critical_hybrid_row_tracks_series(self):
+        # beta - n = -3e-9 lies just outside the branch window; z = 30 is past the switch
+        argv = ("eigs", "--dim", "2", "--beta", "1.999999997", "--nu-min", "60", "--nu-max", "60", "--points", "1")
+        values = []
+        for policy in ("hybrid", "series"):
+            code, out, _ = run_cli(*argv, "--policy", policy)
+            assert code == 0
+            values.append(float(parse_csv(out)[1][0][2]))
+        hybrid, series = values
+        assert abs(hybrid - series) <= 1e-3 * abs(series)
+
+    def test_parser_built_once(self):
+        run_cli("eigs", "--dim", "3", "--beta", "2", "--points", "1")
+        assert cli.build_parser() is cli.build_parser()
+
 
 def reference_render_csv(columns, rows):
     """The reference CSV rendering: ``csv.writer`` over ``format_cell``, cell by cell."""
@@ -328,6 +343,6 @@ class TestValidateCommand:
         assert out.count("PASS") >= 6
         assert out.strip().endswith("(quick level)")
         report = json.loads(target.read_text())
-        jsonschema.validate(report, load_schema("oracle_selftest_report.schema.json"))
+        jsonschema.validate(report, load_schema("oracle_report.schema.json"))
         assert report["passed"] is True
         assert len(report["entries"]) == 135

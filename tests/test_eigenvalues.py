@@ -4,12 +4,11 @@ import pickle
 import re
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from perispec.asymptotics import AsymptoticForms, BranchInstabilityWarning, asym_lambda1, asym_lambda2
+from perispec.asymptotics import AsymptoticForms, asym_lambda2
 from perispec.eigenvalues import (
     MaterialParams,
     derive,
@@ -323,41 +322,36 @@ class TestEvalSpectrum:
         assert samples[0].method == "series"
 
     @pytest.mark.parametrize(
-        "n, beta, lambda_star, branch, warns",
+        "n, beta, lambda_star, branch",
         [
-            (3, 2.5, 2.0, "power_law", 0),
-            (2, 2.0, 2.0, "logarithmic", 0),
-            (3, 2.5, 1.0, "power_law", 0),  # lambda* = mu: lambda12 is exactly 0.0
-            (2, 2.0 + 1e-12, 2.0, "logarithmic", 1),  # inside the branch tolerance
+            (3, 2.5, 2.0, "power_law"),
+            (2, 2.0, 2.0, "logarithmic"),
+            (3, 2.5, 1.0, "power_law"),  # lambda* = mu: lambda12 is exactly 0.0
+            (2, 2.0 + 1e-12, 2.0, "logarithmic"),  # inside the branch tolerance
         ],
     )
-    def test_rows_past_switch_are_bitwise_asym_forms(self, n, beta, lambda_star, branch, warns):
+    def test_rows_past_switch_are_bitwise_asym_forms(self, n, beta, lambda_star, branch):
         p = params_for(n, beta, delta=2.0, lambda_star=lambda_star)
         grid = [5.0, 20.5, 25.0, 31.3, 60.0, 1000.0]  # z = nu: one series row, then past z_switch = 20
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = eval_spectrum(p, grid, z_switch=20.0)
-        assert [w.category for w in caught] == [BranchInstabilityWarning] * warns
+        rows = eval_spectrum(p, grid, z_switch=20.0)
 
         def bits(*values):
             return [struct.pack("<d", v) for v in values]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BranchInstabilityWarning)
-            forms = AsymptoticForms(p)
-            for row in rows:
-                asym1, asym2 = asym_lambda1(p, row.nu_norm), asym_lambda2(p, row.nu_norm)
-                assert row.branch == branch
-                assert bits(row.asym1, row.asym2) == bits(asym1, asym2)
-                if row.nu_norm == 5.0:
-                    assert row.method == "series"
-                    continue
-                assert row.method == "asymptotic"
-                l11, l12, _ = forms.parts(0.5 * p.delta * row.nu_norm)
-                want = (asym1, asym2, l11, l12)
-                assert bits(row.lambda1, row.lambda2, row.lambda11, row.lambda12) == bits(*want)
-                if lambda_star == p.mu:
-                    assert bits(row.lambda12) == bits(0.0)
+        forms = AsymptoticForms(p)
+        for row in rows:
+            l11, l12, _ = forms.parts(0.5 * p.delta * row.nu_norm)
+            asym1, asym2 = l11 + l12, asym_lambda2(p, row.nu_norm)
+            assert row.branch == branch
+            assert bits(row.asym1, row.asym2) == bits(asym1, asym2)
+            if row.nu_norm == 5.0:
+                assert row.method == "series"
+                continue
+            assert row.method == "asymptotic"
+            want = (asym1, asym2, l11, l12)
+            assert bits(row.lambda1, row.lambda2, row.lambda11, row.lambda12) == bits(*want)
+            if lambda_star == p.mu:
+                assert bits(row.lambda12) == bits(0.0)
 
 
 def separate_sum(params, nu, tol, part):

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import random
 import sys
 import threading
 import time
 from typing import Optional
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perispec.hyper as hyper
 from perispec.hyper import (
     _GUARD_BITS,
     _REL_ERR_RANGE,
@@ -127,8 +130,8 @@ class TestValidation:
 
     def test_term_budget_exhaustion(self):
         series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
-        with pytest.raises(PrecisionExhaustedError):
-            eval_pfq(series, 100.0, 1e-12, max_terms=5)
+        with mock.patch.object(hyper, "default_max_terms", lambda z: 5), pytest.raises(PrecisionExhaustedError):
+            eval_pfq(series, 100.0, 1e-12)
 
     def test_minimum_bits(self):
         series = HypergeometricSeries((1.0,), (2.0, 3.0))
@@ -348,12 +351,13 @@ def reference_eval_pfq(
     target_rel_err: float = 1e-12,
     *,
     bits: Optional[int] = None,
-    max_terms: Optional[int] = None,
 ) -> EvalResult:
     """The fixed-point kernel as it was before term ratios were memoised.
 
     It recomputes every ratio from the series parameters on every call, so
     ``eval_pfq`` must return an equal ``EvalResult`` whatever its memo holds.
+    Its term cap is the kernel's, ``hyper.default_max_terms``, looked up at
+    call time so that a test can patch both.
     It coarsens its unit by the same rule, term by term: once a term is more
     than 2 _GUARD_BITS wider than bits and has been summed, the term, the sum
     and its magnitudes are shifted right until the term is bits + _GUARD_BITS
@@ -374,7 +378,7 @@ def reference_eval_pfq(
         raise PrecisionExhaustedError(
             f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"
         )
-    cap = max_terms if max_terms is not None else default_max_terms(z)
+    cap = hyper.default_max_terms(z)
 
     nums = [a.as_integer_ratio() for a in series.numerator_params]
     dens = [b.as_integer_ratio() for b in series.denominator_params]
@@ -485,15 +489,15 @@ class TestMemoisedRatios:
             zs = sorted(zs, reverse=True)
         elif order == "ascending":
             zs = sorted(zs)
-        overrides = {}
-        if bits_extra is not None:
-            overrides["bits"] = DOUBLE_BITS + bits_extra
-        if max_terms is not None:
-            overrides["max_terms"] = max_terms
+        overrides = {} if bits_extra is None else {"bits": DOUBLE_BITS + bits_extra}
+        cap = contextlib.nullcontext()
+        if max_terms is not None:  # both kernels take their term cap from hyper.default_max_terms
+            cap = mock.patch.object(hyper, "default_max_terms", lambda z: max_terms)
         fresh = HypergeometricSeries(series.numerator_params, series.denominator_params)
-        for z in zs:
-            got = outcome(eval_pfq, series, z * z, tol, **overrides)
-            assert got == outcome(reference_eval_pfq, fresh, z * z, tol, **overrides)
+        with cap:
+            for z in zs:
+                got = outcome(eval_pfq, series, z * z, tol, **overrides)
+                assert got == outcome(reference_eval_pfq, fresh, z * z, tol, **overrides)
 
     def test_zero_terms_pass_the_truncation_test(self):
         # Near a root of 1F2(2.25; 1.5, 3.25) (n = 1, beta = -1.5) the tail terms

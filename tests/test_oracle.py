@@ -311,4 +311,11 @@ class TestSelfTest:
     def test_report_json_matches_schema(self):
         report = oracle_report([(2, 1.5, 1.0, 0.5), (2, 3.5, 1.0, 0.5)])
         payload = json.loads(json.dumps(report, sort_keys=True))
-        jsonschema.validate(payload, load_schema("oracle_selftest_report.schema.json"))
+        jsonschema.validate(payload, load_schema("oracle_report.schema.json"))
+
+    @pytest.mark.parametrize("key, value", [("status", "unsupported"), ("series", None), ("rel_discrepancy", None)])
+    def test_schema_rejects_what_the_report_never_writes(self, key, value):
+        report = oracle_report([(2, 1.5, 1.0, 0.5)])
+        report["entries"][0][key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, load_schema("oracle_report.schema.json"))

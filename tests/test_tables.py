@@ -1,12 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perispec.tables as tables
-from perispec.asymptotics import BranchInstabilityWarning
 from perispec.tables import figure_table, wavenumber_grid
 
 nonnegative = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
@@ -49,10 +46,8 @@ class TestWavenumberGrid:
 
 
 class TestFigureTable:
-    def test_branch_warning_once_per_panel(self, monkeypatch):
+    def test_branch_column_inside_window(self, monkeypatch):
+        # beta - n = 1e-10 lies inside BRANCH_TOLERANCE: every nu > 0 takes the logarithmic branch
         monkeypatch.setattr(tables, "FIGURE_POINTS", 5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = figure_table(2, 2.0 + 1e-10, 1.0)
-        assert [w.category for w in caught] == [BranchInstabilityWarning]
+        rows = figure_table(2, 2.0 + 1e-10, 1.0)
         assert [r.branch for r in rows] == [""] + ["logarithmic"] * 4
