@@ -26,10 +26,17 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import inf, isfinite
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .asymptotics import AsymptoticForms
-from .hyper import DOUBLE_BITS, EvalResult, HypergeometricSeries, check_target_rel_err, eval_contiguous
+from .hyper import (
+    DOUBLE_BITS,
+    EvalResult,
+    HypergeometricSeries,
+    check_target_rel_err,
+    contiguous_values,
+    eval_contiguous,
+)
 from .material import DerivedParams, MaterialParams, check_nu_norms, derive, z_of  # re-exported
 
 DEFAULT_TOL = 1e-10
@@ -59,19 +66,6 @@ class SpectrumSample(NamedTuple):
         return None if self.asym2 is None else abs(self.lambda2 - self.asym2)
 
 
-def _zero_result() -> EvalResult:
-    return EvalResult(value=0.0, abs_error_estimate=0.0, terms_used=1, precision_bits_used=DOUBLE_BITS)
-
-
-def _scaled(prefactor: float, res: EvalResult) -> EvalResult:
-    return EvalResult(
-        value=prefactor * res.value,
-        abs_error_estimate=abs(prefactor) * res.abs_error_estimate,
-        terms_used=res.terms_used,
-        precision_bits_used=res.precision_bits_used,
-    )
-
-
 class _Plan:
     """The z-independent work of one material, done once for any number of
     wavenumbers: ``derive``, the transverse series and the weights of the
@@ -83,41 +77,27 @@ class _Plan:
         self.params = params
         d = derive(params)
         self.transverse = HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
-        # W(k) of each series over the transverse terms: (2k+3) for the 3F4, (k+1)(b+k) for the 1F2
-        self.weights = {"transverse": (), "dyadic": ((3, 2),), "coupling": ((1, 1), d.b.as_integer_ratio())}
+        # W(k) over the transverse terms of the 3F4, (2k+3), and of the 1F2, (k+1)(b+k);
+        # lambda12 vanishes at lambda* = mu, and so does the 1F2's weight here
+        self.coupled = params.lambda_star != params.mu
+        self.weights = [(), ((3, 2),)] + [((1, 1), d.b.as_integer_ratio())] * self.coupled
 
     @cached_property
     def forms(self) -> AsymptoticForms:
         return AsymptoticForms(self.params)
 
-    def lambdas(self, nu: float, z: float, tol: float, series: Sequence[str]) -> List[EvalResult]:
-        """lambda2, lambda11 or lambda12 at one wavenumber ``nu`` (with
-        z = ``z_of(params, nu)``) for each of the ``series`` named
-        ("transverse", "dyadic", "coupling"), in order, all summed in one
-        ``eval_contiguous`` walk of the transverse terms."""
-        params = self.params
-        live = () if nu == 0.0 else series
-        if params.lambda_star == params.mu and "coupling" in live:
-            live = [name for name in live if name != "coupling"]
-        sums = {}
-        if live:
-            weights = [self.weights[name] for name in live]
-            sums = dict(zip(live, eval_contiguous(self.transverse, weights, z * z, tol)))
-        out = []
-        for name in series:
-            res = sums.get(name)
-            if res is None:
-                out.append(_zero_result())
-            elif name == "transverse":
-                out.append(_scaled(-params.mu * nu * nu, res))
-            elif name == "dyadic":
-                out.append(_scaled(-3.0 * params.mu * nu * nu, res))
-            else:  # lambda12 = prefactor * 1F2^2
-                prefactor = -(params.lambda_star - params.mu) * nu * nu
-                err = abs(prefactor) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
-                value = prefactor * res.value * res.value
-                out.append(EvalResult(value, err, res.terms_used, res.precision_bits_used))
-        return out
+    def prefactors(self, nu: float) -> Tuple[float, float, float]:
+        """lambda2, lambda11 and lambda12 at wavenumber ``nu`` are these times
+        the 2F3, the 3F4 and the square of the 1F2."""
+        mu = self.params.mu
+        return -mu * nu * nu, -3.0 * mu * nu * nu, -(self.params.lambda_star - mu) * nu * nu
+
+    def parts(self, nu: float, z: float, tol: float) -> Tuple[float, float, float]:
+        """lambda2, lambda11 and lambda12 at one wavenumber ``nu`` > 0, with
+        z = ``z_of(params, nu)``, from one walk of the transverse terms."""
+        sums = contiguous_values(self.transverse, self.weights, z * z, tol)
+        p2, p11, p12 = self.prefactors(nu)
+        return p2 * sums[0], p11 * sums[1], p12 * sums[2] * sums[2] if self.coupled else 0.0
 
 
 def transverse_series(params: MaterialParams) -> HypergeometricSeries:
@@ -128,22 +108,39 @@ def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) ->
     """Transverse eigenvalue -mu ||nu||^2 2F3(1,a; 2,b+1,a+1; -z^2)."""
     z = z_of(params, nu_norm)
     check_target_rel_err(tol)
-    return _Plan(params).lambdas(nu_norm, z, tol, ("transverse",))[0]
+    if nu_norm == 0.0:
+        return EvalResult(0.0, 0.0, 1, DOUBLE_BITS)
+    plan = _Plan(params)
+    (res,) = eval_contiguous(plan.transverse, [()], z * z, tol)
+    prefactor = plan.prefactors(nu_norm)[0]
+    return EvalResult(
+        prefactor * res.value, abs(prefactor) * res.abs_error_estimate, res.terms_used, res.precision_bits_used
+    )
 
 
 def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Longitudinal eigenvalue lambda11 + lambda12 with combined error, both
     parts from one walk of the transverse terms.  The parts themselves are
-    the lambda11 and lambda12 columns of ``eval_spectrum``'s rows."""
+    the lambda11 and lambda12 columns of ``eval_spectrum``'s rows.  Each
+    series stops within a quarter of ``tol`` (``hyper.eval_contiguous``), so
+    lambda12's square of the 1F2 stays within half of it."""
     z = z_of(params, nu_norm)
     check_target_rel_err(tol)
-    r11, r12 = _Plan(params).lambdas(nu_norm, z, tol, ("dyadic", "coupling"))
-    return EvalResult(
-        value=r11.value + r12.value,
-        abs_error_estimate=r11.abs_error_estimate + r12.abs_error_estimate,
-        terms_used=r11.terms_used + r12.terms_used,
-        precision_bits_used=max(r11.precision_bits_used, r12.precision_bits_used),
-    )
+    if nu_norm == 0.0:
+        return EvalResult(0.0, 0.0, 2, DOUBLE_BITS)
+    plan = _Plan(params)
+    r11, *r12 = eval_contiguous(plan.transverse, plan.weights[1:], z * z, tol)
+    _, p11, p12 = plan.prefactors(nu_norm)
+    value, err, terms = p11 * r11.value, abs(p11) * r11.abs_error_estimate, r11.terms_used
+    if r12:  # lambda12 = p12 * 1F2^2
+        (res,) = r12
+        l12 = p12 * res.value * res.value
+        err += abs(p12) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
+        terms += res.terms_used
+    else:  # lambda* = mu: lambda12 is 0, counted as one term
+        l12 = 0.0
+        terms += 1
+    return EvalResult(value + l12, err, terms, r11.precision_bits_used)
 
 
 def navier_eigenvalues(params: MaterialParams, nu_norm: float):
@@ -205,9 +202,9 @@ def eval_spectrum(
         else:
             asym1 = asym2 = None
             branch = ""
-        r2, r11, r12 = plan.lambdas(nu, z, tol, ("transverse", "dyadic", "coupling"))
-        l1 = r11.value + r12.value
-        if not (isfinite(l1) and isfinite(r2.value)):
+        l2, l11, l12 = plan.parts(nu, z, tol) if nu != 0.0 else (0.0, 0.0, 0.0)
+        l1 = l11 + l12
+        if not (isfinite(l1) and isfinite(l2)):
             raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
-        samples.append(SpectrumSample(nu, l1, r2.value, r11.value, r12.value, asym1, asym2, "series", branch))
+        samples.append(SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch))
     return samples

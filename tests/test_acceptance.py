@@ -14,7 +14,7 @@ CRITERION_3_DETAIL = (
     "(n=3,b=2.0) limit gap 2.36e-04; "
     "(n=1,b=n) log-branch gap 8.70e-08; "
     "(n=2,b=n) log-branch gap 7.88e-09; "
-    "(n=3,b=n) log-branch gap 4.02e-10 (tols 5% / 1%)"
+    "(n=3,b=n) log-branch gap 4.03e-10 (tols 5% / 1%)"
 )
 CRITERION_4_DETAIL = (
     "(n=1,b=1.0) l2 -1.96 vs -2.0, l11 -0.97 vs -1.0; "

@@ -12,8 +12,9 @@ import pytest
 import perispec.cli as cli
 import perispec.tables as tables
 from perispec.cli import main
-from perispec.eigenvalues import SpectrumSample
-from perispec.tables import format_cell
+from perispec.eigenvalues import DEFAULT_TOL, MaterialParams, SpectrumSample
+from perispec.tables import EIGS_COLUMNS, format_cell
+from test_eigenvalues import mpmath_parts
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,24 +164,53 @@ class TestCsvRenderer:
         assert path.read_bytes() == want.encode("ascii")
 
 
+#: Golden output files in tests/data: the CLI arguments that write each one and
+#: its material, at the default tolerance.  A change that alters their bytes on
+#: purpose rewrites them with
+#:
+#:     PYTHONPATH=src python tests/test_cli.py
+GOLDEN = {
+    "figure_dim3_beta2_delta2.csv": (
+        ("figure", "--dim", "3", "--beta", "2", "--delta", "2"),
+        MaterialParams(n=3, delta=2.0, beta=2.0, mu=1.0, lambda_star=2.0),
+    ),
+    "eigs_dim2_beta3_series_nu100-1000.csv": (
+        ("eigs", "--dim", "2", "--beta", "3", "--policy", "series", "--nu-min", "100", "--nu-max", "1000",
+         "--points", "20"),
+        MaterialParams(n=2, delta=1.0, beta=3.0, mu=1.0, lambda_star=2.0),
+    ),
+}
+
+
+def write_golden(name, target):
+    code, _, err = run_cli(*GOLDEN[name][0], "--out", str(target))
+    assert code == 0, err
+
+
 class TestGoldenOutput:
     # Output bytes are part of the CLI contract: these files pin them.
-    @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            ("figure_dim3_beta2_delta2.csv", ("figure", "--dim", "3", "--beta", "2", "--delta", "2")),
-            (
-                "eigs_dim2_beta3_series_nu100-1000.csv",
-                ("eigs", "--dim", "2", "--beta", "3", "--policy", "series",
-                 "--nu-min", "100", "--nu-max", "1000", "--points", "20"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("golden, argv", [(name, argv) for name, (argv, _) in GOLDEN.items()])
     def test_bytes_match_golden_file(self, tmp_path, golden, argv):
         target = tmp_path / golden
-        code, _, err = run_cli(*argv, "--out", str(target))
-        assert code == 0, err
+        write_golden(golden, target)
         assert target.read_bytes() == (DATA / golden).read_bytes()
+
+    # A rewritten golden file must still hold every row to the tolerance it was
+    # written at, against mpmath: lambda1 (and on eigs rows each of its parts)
+    # within tol (|lambda11| + |lambda12|), lambda2 within tol |lambda2|.
+    @pytest.mark.parametrize("golden", list(GOLDEN))
+    def test_rows_within_tol_vs_mpmath(self, golden):
+        params = GOLDEN[golden][1]
+        header, rows = parse_csv((DATA / golden).read_text())
+        assert len(rows) > 1
+        for row in rows:
+            cells = {name: float(cell) for name, cell in zip(header, row) if name in EIGS_COLUMNS}
+            l11, l12, l2 = mpmath_parts(params, cells["nu_norm"])
+            bound1 = DEFAULT_TOL * (abs(l11) + abs(l12))
+            assert abs(cells["lambda1"] - (l11 + l12)) <= bound1, cells
+            assert abs(cells["lambda2"] - l2) <= DEFAULT_TOL * abs(l2), cells
+            for name, ref in (("lambda11", l11), ("lambda12", l12)):
+                assert abs(cells.get(name, ref) - ref) <= bound1, cells
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +376,9 @@ class TestValidateCommand:
         jsonschema.validate(report, load_schema("oracle_report.schema.json"))
         assert report["passed"] is True
         assert len(report["entries"]) == 135
+
+
+if __name__ == "__main__":
+    for name in GOLDEN:
+        write_golden(name, DATA / name)
+        print(f"rewrote {DATA / name}")

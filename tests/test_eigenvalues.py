@@ -3,10 +3,14 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perispec.asymptotics import AsymptoticForms, asym_lambda2
 from perispec.eigenvalues import (
@@ -422,3 +426,50 @@ class TestOneWalkPerPoint:
         finally:
             tracemalloc.stop()
         assert peak < 1_500_000
+
+
+def mpmath_parts(params, nu):
+    """(lambda11, lambda12, lambda2) from ``mpmath.hyper`` at 160 bits, with a
+    and b rebuilt from the material, as the benchmark's reference does."""
+    with mpmath.workprec(160):
+        a = (params.n + 2 - mpmath.mpf(params.beta)) / 2
+        b = mpmath.mpf(params.n + 2) / 2
+        x = -(mpmath.mpf(params.delta) * mpmath.mpf(nu) / 2) ** 2
+        nu_sq = mpmath.mpf(nu) ** 2
+        l2 = -params.mu * nu_sq * mpmath.hyper([1, a], [2, b + 1, a + 1], x)
+        l11 = -3 * params.mu * nu_sq * mpmath.hyper([1, mpmath.mpf(5) / 2, a], [2, mpmath.mpf(3) / 2, b + 1, a + 1], x)
+        l12 = -(mpmath.mpf(params.lambda_star) - params.mu) * nu_sq * mpmath.hyper([a], [b, a + 1], x) ** 2
+        return l11, l12, l2
+
+
+@st.composite
+def series_points(draw):
+    """(n, beta, delta, z): beta in [-4, n+2), the panel horizons, z <= 30."""
+    n = draw(st.integers(1, 3))
+    beta = draw(st.floats(min_value=-4.0, max_value=n + 2.0, exclude_max=True))
+    return n, beta, draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.floats(min_value=0.0, max_value=30.0))
+
+
+class TestRowAccuracy:
+    """Every series row holds its tolerance per eigenvalue, as the benchmark
+    checks it: lambda1 within tol (|lambda11| + |lambda12|), lambda2 within
+    tol |lambda2|.  Each sum stops within tol / 4, so the square in lambda12
+    and the roundings fit."""
+
+    @given(point=series_points(), tol=st.sampled_from([1e-6, 1e-10, 1e-15]))
+    # rows at the first two roots of the coupling 1F2(1.5; 2, 2.5) (n = 2, beta = 1)
+    @example(point=(2, 1.0, 1.0, 2.942150483191762), tol=1e-15)
+    @example(point=(2, 1.0, 1.0, 6.037984514005027), tol=1e-15)
+    @example(point=(2, 1.0, 2.0, 6.037984514005027), tol=1e-10)
+    # with each sum stopped at tol instead of tol / 4, lambda1 is 1.18 tol off here
+    @example(point=(3, 0.5828452462452267, 1.0, 3.1862055043507818), tol=1e-15)
+    @settings(max_examples=60, deadline=None)
+    def test_series_rows_within_tol_vs_mpmath(self, point, tol):
+        n, beta, delta, z = point
+        params = params_for(n, beta, delta)
+        nu = 2.0 * z / delta
+        (row,) = eval_spectrum(params, [nu], math.inf, tol)
+        l11, l12, l2 = mpmath_parts(params, nu)
+        # below the smallest normal double (nu^2 underflows near nu = 1e-154) the bound is absolute
+        assert abs(row.lambda1 - (l11 + l12)) <= tol * max(abs(l11) + abs(l12), sys.float_info.min)
+        assert abs(row.lambda2 - l2) <= tol * max(abs(l2), sys.float_info.min)

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from fractions import Fraction
 from typing import Optional
 from unittest import mock
 
@@ -352,7 +353,7 @@ def reference_eval_pfq(
     *,
     bits: Optional[int] = None,
 ) -> EvalResult:
-    """The fixed-point kernel as it was before term ratios were memoised.
+    """The fixed-point kernel term by term, its tail bound in exact fractions.
 
     It recomputes every ratio from the series parameters on every call, so
     ``eval_pfq`` must return an equal ``EvalResult`` whatever its memo holds.
@@ -360,8 +361,14 @@ def reference_eval_pfq(
     call time so that a test can patch both.
     It coarsens its unit by the same rule, term by term: once a term is more
     than 2 _GUARD_BITS wider than bits and has been summed, the term, the sum
-    and its magnitudes are shifted right until the term is bits + _GUARD_BITS
-    bits wide.
+    and the peak are shifted right until the term is bits + _GUARD_BITS bits
+    wide.  It tests the stop at the same checkpoints, step counts k that are
+    multiples of ``hyper._CHUNK``, a rescale, a zero term or the cap, once
+    every a + k >= 0 and b + k > 0: pairing each numerator a with the
+    smallest free denominator b >= a, else the largest free one (the (k+1)
+    factor is the denominator 1), rho = z_sq prod over pairs max(1, |a + k| /
+    (b + k)) / prod over the rest (b + k), and the sum stops once rho < 1 and
+    |t_k| rho / (1 - rho) <= target_rel_err / 4 |S|.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -380,73 +387,63 @@ def reference_eval_pfq(
         )
     cap = hyper.default_max_terms(z)
 
-    nums = [a.as_integer_ratio() for a in series.numerator_params]
-    dens = [b.as_integer_ratio() for b in series.denominator_params]
-    zp, zq = z_sq.as_integer_ratio()
-    num_scale = -zp * math.prod(q for _, q in dens)
-    den_scale = zq * math.prod(q for _, q in nums)
-    tol_p, tol_q = target_rel_err.as_integer_ratio()
+    nums = [Fraction(a) for a in series.numerator_params]
+    dens = [Fraction(b) for b in series.denominator_params]
+    free = sorted(dens + [Fraction(1)])
+    pairs = []
+    for a in sorted(nums, reverse=True):
+        b = next((b for b in free if b >= a), free[-1])
+        free.remove(b)
+        pairs.append((a, b))
+    x = Fraction(z_sq)
+    budget = Fraction(target_rel_err) / 4
 
     one = 1 << bits
-    term = one
-    total = one
-    prev_mag = one
-    peak_mag = one
-    past_peak = False
-    terminated = False
-    consecutive_small = 0
-    terms_used = 1
-    last_mag = 0
-    shift = 0
-    rescales = 0
-
-    for k in range(cap):
-        num = num_scale
-        for p, q in nums:
-            num *= p + k * q
-        if num == 0:
-            terminated = True
+    term = total = peak = one
+    shift = rescales = 0
+    k = 0  # steps taken: t_0 .. t_k summed
+    wide = False  # the last step rescaled
+    stop = None  # (|t_k|, rho) where the sum stopped
+    while True:
+        ratio = -x * math.prod(a + k for a in nums) / ((k + 1) * math.prod(b + k for b in dens))
+        if ratio == 0:  # t_{k+1} and every later term vanish
             break
-        den = den_scale * (k + 1)
-        for p, q in dens:
-            den *= p + k * q
-        term = term * num // den
-        mag = abs(term)
+        if k and (k % hyper._CHUNK == 0 or wide or not term or k == cap):
+            if all(a + k >= 0 for a in nums) and all(b + k > 0 for b in dens):
+                rho = x / math.prod(b + k for b in free)
+                for a, b in pairs:
+                    rho *= max(Fraction(1), abs(a + k) / (b + k))
+                if rho < 1 and abs(term) * rho <= budget * abs(total) * (1 - rho):
+                    stop = abs(term), rho
+                    break
+        if k >= cap:
+            raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+        term = term * ratio.numerator // ratio.denominator
+        k += 1
         total += term
-        terms_used = k + 2
-        if mag > peak_mag:
-            peak_mag = mag
-        if mag < prev_mag:
-            past_peak = True
-        prev_mag = mag
-        if past_peak and mag * tol_q < tol_p * abs(total):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                last_mag = mag
-                break
-        else:
-            consecutive_small = 0
+        peak = max(peak, abs(term))
         cut = term.bit_length() - bits - _GUARD_BITS
-        if cut > _GUARD_BITS:
+        wide = cut > _GUARD_BITS
+        if wide:
             shift += cut
             rescales += 1
             term >>= cut
             total >>= cut
-            prev_mag >>= cut
-            peak_mag >>= cut
-    else:
-        raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+            peak >>= cut
 
-    value = (total << shift) / one
-    # peak * 2^(1-bits) * (terms+2) plus one unit per rescale, in units of 2^(shift-bits)
-    rounding = ((peak_mag * (terms_used + 2) + (rescales << (bits - 1))) << shift) / (1 << (2 * bits - 1))
-    if terminated:
-        abs_err = rounding
-    else:
-        abs_err = target_rel_err * abs(value) + (last_mag << shift) / one + rounding
+    terms_used = k + 1
+    exact = Fraction(total << shift, one)
+    value = float(exact)
+    unit = Fraction(1 << shift, one)
+    charge = peak * Fraction(2, one)  # one term's floor errors, in units
+    err = (charge * (terms_used + 2) + rescales) * unit
+    if stop is not None:
+        mag, rho = stop
+        err += (mag + charge) * rho / (1 - rho) * unit
+    err += abs(exact - Fraction(value))
     return EvalResult(
         value=value,
-        abs_error_estimate=abs_err,
+        abs_error_estimate=math.nextafter(float(err), math.inf),
         terms_used=terms_used,
         precision_bits_used=bits,
     )
@@ -553,6 +550,57 @@ class TestMemoisedRatios:
                 rounds += 1
         finally:
             sys.setswitchinterval(old_interval)
+
+
+def absolute_tail(base, factors, z_sq, start, extra=300):
+    """Sum of |t_j W(j) / W(0)| over j = start .. start + extra - 1, under
+    mpmath at 400 bits: the magnitudes of the terms a sum omits.  An
+    alternating tail can sum to less; the certified geometric bound covers this one."""
+    with mpmath.workprec(400):
+        x = mpmath.mpf(z_sq)
+        nums = [mpmath.mpf(a) for a in base.numerator_params]
+        dens = [mpmath.mpf(b) for b in base.denominator_params]
+        weight = lambda j: math.prod(p + j * q for p, q in factors)  # noqa: E731
+        term, tail = mpmath.mpf(1), mpmath.mpf(0)
+        for j in range(start + extra):
+            if j >= start:
+                tail += abs(term) * weight(j) / weight(0)
+            term *= -x * math.prod(a + j for a in nums) / ((j + 1) * math.prod(b + j for b in dens))
+            if not term:
+                break
+        return tail
+
+
+class TestTailBound:
+    """The estimate covers the magnitudes of every omitted term, |t_N W(N)|
+    rho / (1 - rho) and beyond: with rho alone it would not (the examples)."""
+
+    @given(
+        series=memo_series(),
+        z=st.floats(min_value=0.0, max_value=20.0),
+        tol=st.sampled_from([1e-15, 1e-10, 1e-2]),
+    )
+    @example(series=EIGEN_FAMILY[0], z=7.5, tol=1e-2)
+    @example(series=EIGEN_FAMILY[0], z=9.5, tol=1e-10)
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_covers_absolute_tail(self, series, z, tol):
+        res = eval_pfq(series, z * z, tol)
+        assert res.abs_error_estimate >= absolute_tail(series, (), z * z, res.terms_used)
+        with mpmath.workprec(2 * res.precision_bits_used):
+            ref = mpmath.hyper(
+                [mpmath.mpf(a) for a in series.numerator_params],
+                [mpmath.mpf(b) for b in series.denominator_params],
+                -mpmath.mpf(z * z),
+            )
+            assert abs(res.value - ref) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("z", [3.0, 7.5, 12.0])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-10])
+    def test_members_cover_absolute_tail(self, z, tol):
+        base, weights = EIGEN_FAMILY
+        weights = [(), *weights]
+        for factors, res in zip(weights, eval_contiguous(base, weights, z * z, tol)):
+            assert res.abs_error_estimate >= absolute_tail(base, factors, z * z, res.terms_used), factors
 
 
 class TestCoarsenedUnit:
