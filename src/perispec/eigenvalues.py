@@ -79,8 +79,8 @@ class _Plan:
         self.transverse = HypergeometricSeries((1.0, d.a), (2.0, d.b + 1.0, d.a + 1.0))
         # W(k) over the transverse terms of the 3F4, (2k+3), and of the 1F2, (k+1)(b+k);
         # lambda12 vanishes at lambda* = mu, and so does the 1F2's weight here
-        self.coupled = params.lambda_star != params.mu
-        self.weights = [(), ((3, 2),)] + [((1, 1), d.b.as_integer_ratio())] * self.coupled
+        coupled = params.lambda_star != params.mu
+        self.weights = [(), ((3, 2),)] + [((1, 1), d.b.as_integer_ratio())] * coupled
 
     @cached_property
     def forms(self) -> AsymptoticForms:
@@ -92,12 +92,17 @@ class _Plan:
         mu = self.params.mu
         return -mu * nu * nu, -3.0 * mu * nu * nu, -(self.params.lambda_star - mu) * nu * nu
 
+    def combine(self, nu: float, s2: float, s11: float, s12: Optional[float] = None) -> Tuple[float, float, float]:
+        """lambda2, lambda11 and lambda12 at wavenumber ``nu`` from the sums
+        of ``weights``: the 2F3, the 3F4 and the 1F2, which is absent (None)
+        where lambda* = mu and lambda12 is 0."""
+        p2, p11, p12 = self.prefactors(nu)
+        return p2 * s2, p11 * s11, 0.0 if s12 is None else p12 * s12 * s12
+
     def parts(self, nu: float, z: float, tol: float) -> Tuple[float, float, float]:
         """lambda2, lambda11 and lambda12 at one wavenumber ``nu`` > 0, with
         z = ``z_of(params, nu)``, from one walk of the transverse terms."""
-        sums = contiguous_values(self.transverse, self.weights, z * z, tol)
-        p2, p11, p12 = self.prefactors(nu)
-        return p2 * sums[0], p11 * sums[1], p12 * sums[2] * sums[2] if self.coupled else 0.0
+        return self.combine(nu, *contiguous_values(self.transverse, self.weights, z * z, tol))
 
 
 def transverse_series(params: MaterialParams) -> HypergeometricSeries:
@@ -130,17 +135,16 @@ def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) ->
         return EvalResult(0.0, 0.0, 2, DOUBLE_BITS)
     plan = _Plan(params)
     r11, *r12 = eval_contiguous(plan.transverse, plan.weights[1:], z * z, tol)
+    _, l11, l12 = plan.combine(nu_norm, 0.0, r11.value, *(res.value for res in r12))  # no 2F3 here
     _, p11, p12 = plan.prefactors(nu_norm)
-    value, err, terms = p11 * r11.value, abs(p11) * r11.abs_error_estimate, r11.terms_used
+    err, terms = abs(p11) * r11.abs_error_estimate, r11.terms_used
     if r12:  # lambda12 = p12 * 1F2^2
         (res,) = r12
-        l12 = p12 * res.value * res.value
         err += abs(p12) * (2.0 * abs(res.value) + res.abs_error_estimate) * res.abs_error_estimate
         terms += res.terms_used
     else:  # lambda* = mu: lambda12 is 0, counted as one term
-        l12 = 0.0
         terms += 1
-    return EvalResult(value + l12, err, terms, r11.precision_bits_used)
+    return EvalResult(l11 + l12, err, terms, r11.precision_bits_used)
 
 
 def navier_eigenvalues(params: MaterialParams, nu_norm: float):

@@ -251,17 +251,11 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float, tar
             ratio_nums += _products(num_scale, nums, len(ratio_nums), last)
             ratio_dens += _products(den_scale, dens, len(ratio_dens), last)
         chunk = []
-        steps = zip(ratio_nums[first:last], ratio_dens[first:last])
-        if rising:
-            for num, den in steps:
-                term = term * (num * mzp) // (den * zq)
-                chunk.append(term)
-                if term.bit_length() > limit:  # the sums add it, then the unit coarsens
-                    break
-        else:
-            for num, den in steps:
-                term = term * (num * mzp) // (den * zq)
-                chunk.append(term)
+        for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+            term = term * (num * mzp) // (den * zq)
+            chunk.append(term)
+            if term.bit_length() > limit:  # the sums add it, then the unit coarsens
+                break
         if not term:  # so is every later term: the first zero ends the chunk
             del chunk[chunk.index(0) + 1 :]
         k = first + len(chunk)
@@ -377,8 +371,8 @@ def eval_contiguous(
     ``_GUARD_BITS``, ends its chunk; once the live sums have added it, the
     term, each live sum and the peak are shifted right until the term is
     bits + G bits wide, and the shift grows by as much.  Past the turn (rho <
-    1 for the base) no term is wider than the one before it, so the walk
-    tests no more widths.
+    1 for the base) no term is wider than the one before it, so no rescale
+    comes and the peak stays.
 
     ``abs_error_estimate`` is the certified tail plus rounding.  A term step
     floors below one unit, and later steps scale that error with the terms.
