@@ -20,6 +20,8 @@ the two polynomials (2k+3) and (k+1)(b+k) as stated here.
 
 ``eval_spectrum`` takes the series up to ``z_switch`` and the closed-form
 asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
+It walks its series rows in lockstep blocks of ``_BLOCK_ROWS``
+(``hyper.contiguous_values``); each row gets the bits of its own walk.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ from .material import DerivedParams, MaterialParams, check_nu_norms, derive, z_o
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
+
+#: Series rows ``eval_spectrum`` walks in lockstep: enough to spread the
+#: interpreter's work per term step, few enough to keep the walk's state small.
+_BLOCK_ROWS = 48
 
 
 class SpectrumSample(NamedTuple):
@@ -102,7 +108,21 @@ class _Plan:
     def parts(self, nu: float, z: float, tol: float) -> Tuple[float, float, float]:
         """lambda2, lambda11 and lambda12 at one wavenumber ``nu`` > 0, with
         z = ``z_of(params, nu)``, from one walk of the transverse terms."""
-        return self.combine(nu, *contiguous_values(self.transverse, self.weights, z * z, tol))
+        return self.combine(nu, *contiguous_values(self.transverse, self.weights, (z * z,), tol)[0])
+
+    def fill(self, samples: list, pending: list, tol: float) -> None:
+        """Put each ``pending`` series row (index into ``samples``, nu, z,
+        asym1, asym2, branch) in its place in ``samples``, the rows' parts from
+        one lockstep walk (``hyper.contiguous_values``), and empty ``pending``.
+        A row whose lambda1 or lambda2 is not finite raises ``OverflowError``."""
+        block = contiguous_values(self.transverse, self.weights, [row[2] * row[2] for row in pending], tol)
+        for (i, nu, _, asym1, asym2, branch), sums in zip(pending, block):
+            l2, l11, l12 = self.combine(nu, *sums)
+            l1 = l11 + l12
+            if not (isfinite(l1) and isfinite(l2)):
+                raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
+            samples[i] = SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch)
+        pending.clear()
 
 
 def transverse_series(params: MaterialParams) -> HypergeometricSeries:
@@ -173,7 +193,8 @@ def eval_spectrum(
     asymptotic constants) is done once for the whole grid.  The grid,
     ``z_switch`` and ``tol`` are checked up front, the last two even when no
     row uses them.  A row whose lambda1 or lambda2 is not finite raises
-    ``OverflowError`` naming its wavenumber.
+    ``OverflowError`` naming its wavenumber; the series rows are walked in
+    blocks, and a block's errors come before a later row's.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
@@ -185,6 +206,7 @@ def eval_spectrum(
     half_delta = 0.5 * params.delta  # z = half_delta * nu is z_of's double
     subcritical = params.beta < params.n + 2
     samples = []
+    pending = []  # series rows whose samples wait, as None, for their block's walk
     for nu in nus:
         z = half_delta * nu
         if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
@@ -196,6 +218,7 @@ def eval_spectrum(
             l1 = l11 + l12
             if z > z_switch:
                 if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
+                    plan.fill(samples, pending, tol)  # an earlier row's error comes first
                     raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
                 samples.append(SpectrumSample(nu, l1, l2, l11, l12, l1, l2, "asymptotic", forms.branch))
                 continue
@@ -206,9 +229,13 @@ def eval_spectrum(
         else:
             asym1 = asym2 = None
             branch = ""
-        l2, l11, l12 = plan.parts(nu, z, tol) if nu != 0.0 else (0.0, 0.0, 0.0)
-        l1 = l11 + l12
-        if not (isfinite(l1) and isfinite(l2)):
-            raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
-        samples.append(SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch))
+        if nu == 0.0:
+            samples.append(SpectrumSample(nu, 0.0, 0.0, 0.0, 0.0, asym1, asym2, "series", branch))
+            continue
+        pending.append((len(samples), nu, z, asym1, asym2, branch))
+        samples.append(None)
+        if len(pending) == _BLOCK_ROWS:
+            plan.fill(samples, pending, tol)
+    if pending:
+        plan.fill(samples, pending, tol)
     return samples

@@ -21,10 +21,14 @@ t_k (2k+3)/3 and the 1F2(a; b, a+1) term is t_k (k+1)(b+k)/b.  It adds the
 terms to each sum a chunk at a time, with one builtin ``sum``, and tests the
 stop once per chunk: a sum stops when the bound |t_k W(k)| rho / (1 - rho)
 on its tail, rho a bound on every later term ratio, is within a quarter of
-the relative tolerance.  ``eval_pfq`` is its one-weight case, W = 1, and
-``contiguous_values`` its values alone.  The z-independent term ratios and weight
-values are memoised on the base series (not process-wide) up to the highest
-term any sum reached.  ``eval_pfq_float64`` is the deliberately naive
+the relative tolerance.  ``eval_pfq`` is its one-weight case, W = 1.
+``contiguous_values`` gives the values alone at a block of arguments: the
+walk steps the block's rows in lockstep, each term step one builtin ``map``
+pass over the live rows with the ratios they share, while every row keeps
+its own checkpoints, so each row's integers are those of a walk at its
+argument alone.  The z-independent term ratios and weight values are
+memoised on the base series (not process-wide) up to the highest term any
+sum reached.  ``eval_pfq_float64`` is the deliberately naive
 double-precision summation kept to demonstrate (and regression-test) why the
 fixed-point path exists.
 """
@@ -35,7 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
@@ -187,138 +191,213 @@ def _at(scale: int, factors: tuple, k: int) -> int:
     return scale
 
 
-def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float, target_rel_err: float,
-          bits: Optional[int]) -> tuple:
-    """``eval_contiguous``'s walk, without its argument checks.
+def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float], target_rel_err: float,
+          bits: Optional[int]) -> Iterator[tuple]:
+    """``eval_contiguous``'s walk at every z_sq of a block, without its argument checks.
 
-    Returns (bits, shift, rescales, peak, sums): the walk's final unit
-    2^(shift - bits), its rescale count, max |t_k| in that unit, and per
-    weight [sum, factors, W memo values or None, terms used, (|t_N W(N)|, P,
-    Q - P) of the stopping checkpoint or None if the series ended, D 2^bits].
-    Every sum ends at the walk's final unit: a sum stops only past the turn
-    (below), and no rescale or new peak comes after it.
+    Yields (i, bits, shift, rescales, peak, sums) for the i-th z_sq once its
+    last sum stops: the row's final unit 2^(shift - bits), its rescale count,
+    max |t_k| in that unit, and per weight (S, terms used, (|t_N W(N)|, P,
+    Q - P) of the stopping checkpoint or None if the series ended, the W memo
+    values or None for W = 1).  Every sum ends at its row's final unit: a sum
+    stops only past the turn (below), and no rescale or new peak comes after
+    it.  The memos are published after the last row.
     """
-    z = math.sqrt(z_sq)
-    if bits is None:
-        bits = required_bits(z)
-    if bits > MAX_PRECISION_BITS:
-        raise PrecisionExhaustedError(
-            f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"
-        )
-    cap = default_max_terms(z)
-
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
     # (k+1) prod(p_b + k q_b).  The base memoises them and each weight's W(k); the
-    # sum extends private copies of the memo lists and publishes them if longer.
+    # walk extends private copies of the memo lists and publishes them if longer.
     nums, dens, num_scale, den_scale = base._integer_params
     k_min, end, a_scale, a_factors, b_scale, b_factors = base._tail
     ratio_nums, ratio_dens = map(list, base._ratios)
     memo = base._weights
-    zp, zq = z_sq.as_integer_ratio()
-    mzp = -zp
-    if not zp:
-        end = 0
+    values = [list(memo.get(f) or [_at(1, f, 0)]) if f else None for f in weights]
     tol_p, tol_q = target_rel_err.as_integer_ratio()
     tol_q <<= _BUDGET_SHIFT
     # |t W| P tol_q > tol_p |S| (Q - P) holds whenever a bit-length sum reaches this
     reject_bits = tol_q.bit_length() - tol_p.bit_length() - 4
 
-    one = 1 << bits
-    limit = bits + 2 * _GUARD_BITS
-    shift = rescales = 0
-    peak = one
-    sums = []
-    for factors in weights:
-        values = list(memo.get(factors) or [math.prod(map(itemgetter(0), factors))]) if factors else None
-        scale = one if values is None else one * values[0]
-        sums.append([scale, factors, values, 0, None, scale])
-    live = sums
-    term = one
-    k = 0  # term steps taken: the walk holds t_0 .. t_k
-    rising = True  # until a checkpoint bounds every later term ratio below 1
+    # One list per quantity of the live rows: the index i of z_sq, its bits,
+    # shift, rescale count and term cap; t_k, -zp and log2 zq (z_sq = zp / zq
+    # exactly) and the width that rescales, which the steps read; max |t_k|;
+    # per weight the sums and the stops, each None until its sum stops; and
+    # the count of sums still open.
+    rows, row_bits, caps, terms, mzps, exps, limits = [], [], [], [], [], [], []
+    for i, z_sq in enumerate(z_sqs):
+        z = math.sqrt(z_sq)
+        b = required_bits(z) if bits is None else bits
+        if b > MAX_PRECISION_BITS:
+            raise PrecisionExhaustedError(f"z = {z:g} needs {b} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+        zp, zq = z_sq.as_integer_ratio()
+        if not zp:  # t_1 = 0: every sum is exact at t_0
+            yield i, b, 0, 0, 1 << b, [((1 << b) * (v[0] if v else 1), 1, None, v) for v in values]
+            continue
+        rows.append(i)
+        row_bits.append(b)
+        caps.append(default_max_terms(z))
+        terms.append(1 << b)
+        mzps.append(-zp)
+        exps.append(zq.bit_length() - 1)
+        limits.append(b + 2 * _GUARD_BITS)
+    shifts, rescales, peaks = [0] * len(rows), [0] * len(rows), terms.copy()
+    sums, stops = [], []
+    for v in values:
+        sums.append(terms.copy() if v is None else list(map(operator.mul, terms, repeat(v[0]))))
+        stops.append([None] * len(rows))
+    opens = [len(weights)] * len(rows)
+    active = range(len(weights))  # the weights some live row still sums
+    rising = True  # until a checkpoint of every live row bounds its later term ratios below 1
     extended = False  # a weight's memo list grew
-    while live:
+    known = 0  # every weight's memo list holds W(0) .. W(known - 1)
+
+    k = 0  # term steps taken: the walk holds t_0 .. t_k of every live row
+    while rows:
         if k == end:  # the next term is 0: every live sum is exact
-            for st in live:
-                st[3] = k + 1
+            for r in range(len(rows)):
+                yield rows[r], row_bits[r], shifts[r], rescales[r], peaks[r], [
+                    stop[r] or (s[r], k + 1, None, v) for stop, s, v in zip(stops, sums, values)]
             break
+        cap = min(caps)
         if k >= cap:
+            z = math.sqrt(z_sqs[rows[caps.index(cap)]])
             raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
         first = k
         last = min(first - first % _CHUNK + _CHUNK, cap, end)
         if len(ratio_nums) < last:
             ratio_nums += _products(num_scale, nums, len(ratio_nums), last)
             ratio_dens += _products(den_scale, dens, len(ratio_dens), last)
-        chunk = []
-        for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-            term = term * (num * mzp) // (den * zq)
-            chunk.append(term)
-            if term.bit_length() > limit:  # the sums add it, then the unit coarsens
+        if known < last + 2:
+            for factors, vals in zip(weights, values):
+                if vals is not None and len(vals) < last + 2:
+                    vals += _products(1, factors, len(vals), last + 2)
+                    extended = True
+            known = last + 2
+        # A step ends its chunk at a row's first zero term (every later one is 0
+        # too) or at a term to rescale: the sums add it, then the unit coarsens.
+        if len(rows) == 1:  # one row: the plain step
+            term, mzp, zq, limit = terms[0], mzps[0], 1 << exps[0], limits[0]
+            chunk = []
+            for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+                term = term * (num * mzp) // (den * zq)
+                chunk.append(term)
+                if term.bit_length() > limit:
+                    break
+            if not term:
+                del chunk[chunk.index(0) + 1 :]
+            k = first + len(chunk)
+            terms[0] = term
+            if rising:  # past the turn no term is wider than the one before it
+                peaks[0] = max(peaks[0], max(map(abs, chunk)))
+            for w in active:
+                vals = values[w]
+                sums[w][0] += sum(chunk if vals is None else map(operator.mul, chunk, vals[first + 1 : k + 1]))
+        else:  # the rows in lockstep: each term step is one builtin pass over them
+            # The chunk is tested once, on its terms and peaks (past every row's
+            # turn no term outgrows its limit), and stepped again, testing each
+            # step, only where a row's term hit 0 or outgrew its limit.
+            start, checking = terms, False
+            while True:
+                cols, terms = [], start  # the chunk's terms, a list per step
+                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+                    terms = list(map(operator.rshift, map(operator.floordiv, map(
+                        operator.mul, map(operator.mul, terms, mzps), repeat(num)), repeat(den)), exps))
+                    cols.append(terms)
+                    if checking and (not all(terms) or any(map(operator.gt, map(int.bit_length, terms), limits))):
+                        break
+                if rising:  # a row past its turn keeps its peak, so every row may take the max
+                    chunk_peaks = list(map(max, peaks, *[map(abs, col) for col in cols]))
+                if checking or all(map(all, cols)) and not (
+                    rising and any(map(operator.gt, map(int.bit_length, chunk_peaks), limits))
+                ):
+                    break
+                checking = True
+            if rising:
+                peaks = chunk_peaks
+            k = first + len(cols)
+            for w in active:  # each row adds the chunk to each sum with one builtin sum
+                vals = values[w]
+                if vals is not None:
+                    cols_w = map(map, repeat(operator.mul), cols, map(repeat, vals[first + 1 : k + 1]))
+                sums[w] = list(map(sum, zip(sums[w], *(cols if vals is None else cols_w))))
+
+        # The checkpoints at k: every row's at a multiple of _CHUNK, at the series'
+        # end or if it walks alone, else those of the rows whose term is 0, is to
+        # rescale or reached its cap.
+        every = len(rows) == 1 or k % _CHUNK == 0 or k == end
+        test = k_min <= k != end
+        if test:
+            ma_k = -_at(a_scale, a_factors, k)
+            b_k = _at(b_scale, b_factors, k)
+            at_k = None  # per weight: W(k), W(k+1) and the part of the bit-length test they share
+        done = False  # a row's last sum stops here
+        turned = every  # and every live row is past its turn
+        for r, term in enumerate(terms):
+            t_bits = term.bit_length()
+            if not (every or not term or t_bits > limits[r] or caps[r] == k):
+                continue
+            cut = t_bits - row_bits[r] - _GUARD_BITS
+            if cut > _GUARD_BITS:  # a unit 2^cut times coarser
+                shifts[r] += cut
+                rescales[r] += 1
+                terms[r] = term = term >> cut
+                t_bits = term.bit_length()
+                peaks[r] >>= cut
+                for s in sums:
+                    s[r] >>= cut
+            if not test:
+                turned = False
+                continue
+            # every later base ratio |t_{j+1}/t_j|, j >= k, is at most p0/q0
+            p0 = mzps[r] * ma_k
+            q0 = b_k << exps[r]
+            if p0 >= q0:
+                turned = False
+                continue
+            if at_k is None:
+                at_k = [(1, 1, reject_bits) if v is None else (v[k], v[k + 1], v[k].bit_length() + reject_bits) for v in values]
+            for stop, s, v, (wk, wk1, shared_bits) in zip(stops, sums, values, at_k):
+                if stop[r] is not None:
+                    continue
+                p = p0 * wk1
+                d = q0 * wk - p
+                if d <= 0:  # this sum's terms t_j W(j) may still rise
+                    continue
+                total = s[r]
+                if term and t_bits + shared_bits + p.bit_length() >= total.bit_length() + d.bit_length():
+                    continue
+                mag = abs(term) * wk
+                if mag * p * tol_q <= tol_p * abs(total) * d:
+                    stop[r] = (total, k + 1, (mag, p, d), v)
+                    opens[r] -= 1
+            if not opens[r]:
+                done = True
+                yield rows[r], row_bits[r], shifts[r], rescales[r], peaks[r], [stop[r] for stop in stops]
+        if turned:
+            rising = False
+        if done:  # the rows whose last sum stopped leave
+            if not any(opens):
                 break
-        if not term:  # so is every later term: the first zero ends the chunk
-            del chunk[chunk.index(0) + 1 :]
-        k = first + len(chunk)
-        if rising:  # past the turn no term is wider than the one before it
-            peak = max(peak, max(map(abs, chunk)))
-        for st in live:
-            values = st[2]
-            if values is None:
-                st[0] += sum(chunk)
-                continue
-            if len(values) <= k + 1:
-                values += _products(1, st[1], len(values), k + 2)
-                extended = True
-            st[0] += sum(map(operator.mul, chunk, values[first + 1 : k + 1]))
-        cut = term.bit_length() - bits - _GUARD_BITS
-        if cut > _GUARD_BITS:  # a unit 2^cut times coarser
-            shift += cut
-            rescales += 1
-            term >>= cut
-            peak >>= cut
-            for st in live:
-                st[0] >>= cut
-        if k < k_min or k == end:
-            continue
-        # every later base ratio |t_{j+1}/t_j|, j >= k, is at most p0/q0
-        p0 = zp * _at(a_scale, a_factors, k)
-        q0 = zq * _at(b_scale, b_factors, k)
-        if p0 >= q0:
-            continue
-        rising = stopped = False
-        t_bits = term.bit_length()
-        for st in live:
-            values = st[2]
-            w = 1 if values is None else values[k]
-            p = p0 if values is None else p0 * values[k + 1]
-            d = q0 * w - p
-            if d <= 0:  # this sum's terms t_j W(j) may still rise
-                continue
-            total = st[0]
-            if term and (
-                t_bits + w.bit_length() + p.bit_length() + reject_bits >= total.bit_length() + d.bit_length()
-            ):
-                continue
-            mag = abs(term) * w
-            if mag * p * tol_q <= tol_p * abs(total) * d:
-                st[3:5] = k + 1, (mag, p, d)
-                stopped = True
-        if stopped:
-            live = [st for st in live if not st[3]]
+            keep = opens
+            rows, row_bits, shifts, rescales, caps, terms, mzps, exps, limits, peaks, opens = (
+                list(compress(col, keep))
+                for col in (rows, row_bits, shifts, rescales, caps, terms, mzps, exps, limits, peaks, opens)
+            )
+            sums, stops = ([list(compress(col, keep)) for col in cols] for cols in (sums, stops))
+            active = [w for w in active if None in stops[w]]
 
     # one assignment each: readers see the old memo or the new one
     if len(ratio_nums) > len(base._ratios[0]):
         object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))
     if extended:
         memo = base._weights
-        grown = {st[1]: st[2] for st in sums if st[2] and len(st[2]) > len(memo.get(st[1], ()))}
+        grown = {f: v for f, v in zip(weights, values) if v and len(v) > len(memo.get(f, ()))}
         object.__setattr__(base, "_weights", {**memo, **grown})
-    return bits, shift, rescales, peak, sums
 
 
-def _result(bits: int, shift: int, rescales: int, peak: int, st: list) -> tuple:
-    """(value, abs_error_estimate, terms_used) of one sum of ``_walk``."""
-    total, _, values, terms, stop, scale = st
+def _result(bits: int, shift: int, rescales: int, peak: int, st: tuple) -> tuple:
+    """(value, abs_error_estimate, terms_used) of one sum of a row of ``_walk``."""
+    total, terms, stop, values = st
+    scale = (1 if values is None else values[0]) << bits
     exact = total << shift
     value = exact / scale  # int / int: one correct rounding to double
     # every term's floor errors, t_j W(j) for j < terms within peak W(terms - 1)
@@ -374,6 +453,14 @@ def eval_contiguous(
     1 for the base) no term is wider than the one before it, so no rescale
     comes and the peak stays.
 
+    ``contiguous_values`` runs the same walk for a block of arguments in
+    lockstep: a term step is one ``map`` pass over the rows still live, and a
+    chunk ends where any row has a checkpoint, but a row runs the stop test
+    and the rescale only at its own checkpoints and leaves the block once its
+    last sum stops, so it gets the integers of its walk alone.  The block
+    tests a chunk once, on its terms and peaks, and steps it again, testing
+    each step, only where a row's term hit 0 or outgrew its limit.
+
     ``abs_error_estimate`` is the certified tail plus rounding.  A term step
     floors below one unit, and later steps scale that error with the terms.
     The estimate charges peak W(N) 2^(1-bits) for each term, N = terms_used
@@ -393,17 +480,21 @@ def eval_contiguous(
     check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
-    bits, shift, rescales, peak, sums = _walk(base, weights, z_sq, target_rel_err, bits)
+    ((_, bits, shift, rescales, peak, sums),) = _walk(base, weights, (z_sq,), target_rel_err, bits)
     return [EvalResult(*_result(bits, shift, rescales, peak, st), bits) for st in sums]
 
 
 def contiguous_values(
-    base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float, target_rel_err: float
-) -> List[float]:
-    """The values alone of ``eval_contiguous``, for a caller that has checked
-    z_sq and target_rel_err."""
-    _, shift, _, _, sums = _walk(base, weights, z_sq, target_rel_err, None)
-    return [(st[0] << shift) / st[5] for st in sums]
+    base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float], target_rel_err: float
+) -> List[List[float]]:
+    """The values alone of ``eval_contiguous`` at each z_sq of ``z_sqs``, from
+    one lockstep walk, for a caller that has checked every z_sq and
+    target_rel_err.  Each row equals the row of a walk at its z_sq alone."""
+    w0s = [_at(1, factors, 0) for factors in weights]
+    rows = [None] * len(z_sqs)
+    for i, bits, shift, _, _, sums in _walk(base, weights, z_sqs, target_rel_err, None):
+        rows[i] = [(st[0] << shift) / (w0 << bits) for st, w0 in zip(sums, w0s)]
+    return rows
 
 
 def eval_pfq(

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from perispec.asymptotics import AsymptoticForms, asym_lambda2
 from perispec.eigenvalues import (
+    _BLOCK_ROWS,
     MaterialParams,
+    _Plan,
     derive,
     eval_spectrum,
     lambda1,
@@ -22,7 +24,7 @@ from perispec.eigenvalues import (
     navier_eigenvalues,
     z_of,
 )
-from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, eval_pfq
+from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, _walk, eval_pfq
 from test_hyper import bruteforce_pfq
 
 
@@ -426,6 +428,48 @@ class TestOneWalkPerPoint:
         finally:
             tracemalloc.stop()
         assert peak < 1_500_000
+
+
+@st.composite
+def block_grids(draw):
+    """(params, grid, tol): n in 1..8, beta in [-4, n+2] (n+2 ends the series at
+    its first term), and a shuffled grid of more rows than one block, with
+    nu = 0, one tiny nu (z_sq hundreds of binades below the others) and rows up
+    to z = 65..80; past z ~ 60 every walk with beta <= n+1 rescales."""
+    n = draw(st.integers(1, 8))
+    beta = draw(st.one_of(st.just(n + 2.0), st.floats(min_value=-4.0, max_value=n + 2.0)))
+    delta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    lambda_star = draw(st.sampled_from([1.0, 2.5]))  # 1.0 = mu: no coupling series
+    z_max = draw(st.floats(min_value=65.0, max_value=80.0))
+    count = _BLOCK_ROWS + draw(st.integers(1, 40))
+    zs = [z_max * k / count for k in range(1, count + 1)]
+    tiny = draw(st.floats(min_value=1e-150, max_value=1e-100))  # z_sq stays a normal double
+    grid = draw(st.permutations([0.0, tiny] + [2.0 * z / delta for z in zs]))
+    return params_for(n, beta, delta, lambda_star=lambda_star), grid, draw(st.sampled_from([1e-15, 1e-10, 1e-3]))
+
+
+class TestBlockWalk:
+    @given(case=block_grids())
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_single_row_walks(self, case):
+        # eval_spectrum walks its series rows in lockstep blocks; every row must
+        # carry the bits of the walk at its wavenumber alone
+        params, grid, tol = case
+        plan = _Plan(params)
+        for row in eval_spectrum(params, grid, math.inf, tol):
+            if row.nu_norm == 0.0:
+                continue
+            got = (row.lambda2, row.lambda11, row.lambda12)
+            want = plan.parts(row.nu_norm, z_of(params, row.nu_norm), tol)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), row.nu_norm
+        # and so must its integers: unit, rescales, peak, sums, terms and stops
+        z_sqs = [z_of(params, nu) ** 2 for nu in grid if nu != 0.0]
+        block = sorted(_walk(plan.transverse, plan.weights, z_sqs, tol, None), key=lambda row: row[0])
+        for (i, *got), z_sq in zip(block, z_sqs):
+            ((_, *want),) = _walk(plan.transverse, plan.weights, [z_sq], tol, None)
+            assert got == want, z_sq
+        if params.beta <= params.n + 1:  # the case covers rows that rescale
+            assert any(row[3] for row in block)
 
 
 def mpmath_parts(params, nu):
