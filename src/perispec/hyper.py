@@ -192,16 +192,17 @@ def _at(scale: int, factors: tuple, k: int) -> int:
 
 
 def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float], target_rel_err: float,
-          bits: Optional[int]) -> Iterator[tuple]:
+          bits: Optional[int], errors: bool = False) -> Iterator[tuple]:
     """``eval_contiguous``'s walk at every z_sq of a block, without its argument checks.
 
-    Yields (i, bits, shift, rescales, peak, sums) for the i-th z_sq once its
+    Yields (i, bits, shift, rescales, floors, sums) for the i-th z_sq once its
     last sum stops: the row's final unit 2^(shift - bits), its rescale count,
-    max |t_k| in that unit, and per weight (S, terms used, (|t_N W(N)|, P,
-    Q - P) of the stopping checkpoint or None if the series ended, the W memo
-    values or None for W = 1).  Every sum ends at its row's final unit: a sum
-    stops only past the turn (below), and no rescale or new peak comes after
-    it.  The memos are published after the last row.
+    its floor-error state (``_floors_at``; None unless ``errors``, which needs
+    a single z_sq) and per weight (S, terms used, (|t_N W(N)|, P, Q - P) of
+    the stopping checkpoint or None if the series ended, the W memo values or
+    None for W = 1).  Every sum ends at its row's final unit: a sum stops only
+    past the turn (below), and no rescale comes after it.  The memos are
+    published after the last row.
     """
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
@@ -223,6 +224,7 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
     # per weight the sums and the stops, each None until its sum stops; and
     # the count of sums still open.
     rows, row_bits, caps, terms, mzps, exps, limits = [], [], [], [], [], [], []
+    floors = (0, 0.0, 0.0) if errors else None
     for i, z_sq in enumerate(z_sqs):
         z = math.sqrt(z_sq)
         b = required_bits(z) if bits is None else bits
@@ -230,7 +232,7 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
             raise PrecisionExhaustedError(f"z = {z:g} needs {b} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
         zp, zq = z_sq.as_integer_ratio()
         if not zp:  # t_1 = 0: every sum is exact at t_0
-            yield i, b, 0, 0, 1 << b, [((1 << b) * (v[0] if v else 1), 1, None, v) for v in values]
+            yield i, b, 0, 0, floors, [((1 << b) * (v[0] if v else 1), 1, None, v) for v in values]
             continue
         rows.append(i)
         row_bits.append(b)
@@ -254,7 +256,7 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
     while rows:
         if k == end:  # the next term is 0: every live sum is exact
             for r in range(len(rows)):
-                yield rows[r], row_bits[r], shifts[r], rescales[r], peaks[r], [
+                yield rows[r], row_bits[r], shifts[r], rescales[r], floors, [
                     stop[r] or (s[r], k + 1, None, v) for stop, s, v in zip(stops, sums, values)]
             break
         cap = min(caps)
@@ -277,17 +279,30 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
         if len(rows) == 1:  # one row: the plain step
             term, mzp, zq, limit = terms[0], mzps[0], 1 << exps[0], limits[0]
             chunk = []
-            for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-                term = term * (num * mzp) // (den * zq)
-                chunk.append(term)
-                if term.bit_length() > limit:
-                    break
-            if not term:
-                del chunk[chunk.index(0) + 1 :]
+            if floors is not None and rising:  # and the floor errors, step by step, until the turn
+                _, e, f = floors
+                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+                    x, y = num * mzp, den * zq
+                    term = term * x // y
+                    chunk.append(term)
+                    try:
+                        e = e * abs(x / y) + 1.0
+                    except OverflowError:  # a term ratio beyond the doubles
+                        e = math.inf
+                    f += e
+                    if not term or term.bit_length() > limit:
+                        break
+                floors = (first + len(chunk), e, f)
+            else:
+                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+                    term = term * (num * mzp) // (den * zq)
+                    chunk.append(term)
+                    if term.bit_length() > limit:
+                        break
+                if not term:
+                    del chunk[chunk.index(0) + 1 :]
             k = first + len(chunk)
             terms[0] = term
-            if rising:  # past the turn no term is wider than the one before it
-                peaks[0] = max(peaks[0], max(map(abs, chunk)))
             for w in active:
                 vals = values[w]
                 sums[w][0] += sum(chunk if vals is None else map(operator.mul, chunk, vals[first + 1 : k + 1]))
@@ -344,6 +359,9 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
                 peaks[r] >>= cut
                 for s in sums:
                     s[r] >>= cut
+                if floors is not None:  # the term's floor and each sum's add a unit each
+                    e, f = _floors_at(floors, k)
+                    floors = (k, math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0)
             if not test:
                 turned = False
                 continue
@@ -371,7 +389,7 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
                     opens[r] -= 1
             if not opens[r]:
                 done = True
-                yield rows[r], row_bits[r], shifts[r], rescales[r], peaks[r], [stop[r] for stop in stops]
+                yield rows[r], row_bits[r], shifts[r], rescales[r], floors, [stop[r] for stop in stops]
         if turned:
             rising = False
         if done:  # the rows whose last sum stopped leave
@@ -394,20 +412,43 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
         object.__setattr__(base, "_weights", {**memo, **grown})
 
 
-def _result(bits: int, shift: int, rescales: int, peak: int, st: tuple) -> tuple:
+def _floors_at(floors: tuple, k: int) -> tuple:
+    """(e, f) at step k of a one-row walk's floor-error state (k_s, e, f), k >= k_s.
+
+    In units, e bounds the error of the walk's t_k and f the sum of those
+    bounds over t_1 .. t_k, with the sums' rescale floors.  The walk steps
+    them up to k_s, its turn or last rescale; past the turn every term ratio
+    is below 1, so each step adds at most one unit to e.
+    """
+    k_s, e, f = floors
+    n = k - k_s
+    if n:
+        f += n * e + n * (n + 1) / 2
+        e += n
+    return e, f
+
+
+def _result(bits: int, shift: int, floors: tuple, st: tuple) -> tuple:
     """(value, abs_error_estimate, terms_used) of one sum of a row of ``_walk``."""
     total, terms, stop, values = st
     scale = (1 if values is None else values[0]) << bits
     exact = total << shift
     value = exact / scale  # int / int: one correct rounding to double
-    # every term's floor errors, t_j W(j) for j < terms within peak W(terms - 1)
-    peak_w = peak if values is None else peak * values[terms - 1]
-    num = peak_w * (terms + 2) + (rescales << (bits - 1))  # units 2^(1 - bits)
-    den = scale << (bits - 1)
-    if stop is not None:  # the tail, (|t_N W(N)| + its floor errors) P / (Q - P)
+    e, f = _floors_at(floors, terms - 1)
+    # e and f took under 20 roundings to nearest per term, each of a positive
+    # quantity by a factor within 1 +- 2^-53: the slack covers them
+    slack = 1.0 + terms * 2.0**-46
+    e, f = e * slack, f * slack
+    if not f < math.inf:
+        return value, math.inf, terms
+    w = 1 if values is None else values[terms - 1]  # W(N) >= W(j) for every j <= N
+    fp, fq = f.as_integer_ratio()
+    num, den = fp * w, fq * scale  # every term's floor errors, f W(N) units
+    if stop is not None:  # the tail, (|t_N W(N)| + e W(N)) P / (Q - P)
         mag, p, d = stop
-        num = ((mag << (bits - 1)) + peak_w) * p + num * d
-        den *= d
+        ep, eq = e.as_integer_ratio()
+        num = num * eq * d + (mag * eq + ep * w) * p * fq
+        den *= eq * d
     vp, vq = value.as_integer_ratio()
     # plus the rounding to double, exactly; the bound rounds up
     residual = abs(exact * vq - vp * scale) * (den // scale)
@@ -448,10 +489,9 @@ def eval_contiguous(
 
     The shift starts at 0.  A base term wider than bits + 2G bits, G =
     ``_GUARD_BITS``, ends its chunk; once the live sums have added it, the
-    term, each live sum and the peak are shifted right until the term is
-    bits + G bits wide, and the shift grows by as much.  Past the turn (rho <
-    1 for the base) no term is wider than the one before it, so no rescale
-    comes and the peak stays.
+    term and each live sum are shifted right until the term is bits + G bits
+    wide, and the shift grows by as much.  Past the turn (rho < 1 for the
+    base) no term is wider than the one before it, so no rescale comes.
 
     ``contiguous_values`` runs the same walk for a block of arguments in
     lockstep: a term step is one ``map`` pass over the rows still live, and a
@@ -462,15 +502,19 @@ def eval_contiguous(
     each step, only where a row's term hit 0 or outgrew its limit.
 
     ``abs_error_estimate`` is the certified tail plus rounding.  A term step
-    floors below one unit, and later steps scale that error with the terms.
-    The estimate charges peak W(N) 2^(1-bits) for each term, N = terms_used
-    - 1, peak = max |t_k| (W is nondecreasing), two more, and one for the
-    tail's first term, as at the finest unit 2^-bits.  A coarser unit stays
-    within that charge: a rescale at t_k leaves the term at least 2^(bits+G-1)
-    units, so one unit is at most |t_k| 2^(1-bits-G) <= 2 peak 2^-bits.  Each
-    rescale also floors every live sum, by under one unit; the estimate adds
-    one unit per rescale.  Last comes the exact error of the rounding to
-    double, and the sum of the parts rounds up.
+    floors below one unit, and later steps scale that error with the terms,
+    by |t_k / t_j| from step j to step k: a floor made at a term far below
+    t_0 grows with the terms that rise after it.  So the walk carries e_k,
+    a bound on the error of t_k in units, with e_k = e_{k-1} |t_k / t_{k-1}|
+    + 1 (in doubles, the ratio rounded from its exact integers) and their sum
+    f, up to the turn; past it every ratio is below 1, so each step adds at
+    most one unit to e.  A rescale by 2^-cut takes e to e 2^-cut + 1 and f to
+    f 2^-cut + 1, the floors of the term and of each live sum.  The estimate
+    charges f W(N) units for the terms, N = terms_used - 1 (W is
+    nondecreasing), and the tail (|t_N W(N)| + e_N W(N)) P / (Q - P); the
+    doubles' roundings stay within a slack of 1 + terms_used 2^-46 on e and
+    f.  Last comes the exact error of the rounding to double, and the sum of
+    the parts rounds up.
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
     ``MAX_PRECISION_BITS`` or the term budget ``default_max_terms`` runs out.
@@ -480,8 +524,8 @@ def eval_contiguous(
     check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
-    ((_, bits, shift, rescales, peak, sums),) = _walk(base, weights, (z_sq,), target_rel_err, bits)
-    return [EvalResult(*_result(bits, shift, rescales, peak, st), bits) for st in sums]
+    ((_, bits, shift, _, floors, sums),) = _walk(base, weights, (z_sq,), target_rel_err, bits, True)
+    return [EvalResult(*_result(bits, shift, floors, st), bits) for st in sums]
 
 
 def contiguous_values(

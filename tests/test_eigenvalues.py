@@ -462,7 +462,7 @@ class TestBlockWalk:
             got = (row.lambda2, row.lambda11, row.lambda12)
             want = plan.parts(row.nu_norm, z_of(params, row.nu_norm), tol)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), row.nu_norm
-        # and so must its integers: unit, rescales, peak, sums, terms and stops
+        # and so must its integers: unit, rescales, sums, terms and stops
         z_sqs = [z_of(params, nu) ** 2 for nu in grid if nu != 0.0]
         block = sorted(_walk(plan.transverse, plan.weights, z_sqs, tol, None), key=lambda row: row[0])
         for (i, *got), z_sq in zip(block, z_sqs):

@@ -360,15 +360,19 @@ def reference_eval_pfq(
     Its term cap is the kernel's, ``hyper.default_max_terms``, looked up at
     call time so that a test can patch both.
     It coarsens its unit by the same rule, term by term: once a term is more
-    than 2 _GUARD_BITS wider than bits and has been summed, the term, the sum
-    and the peak are shifted right until the term is bits + _GUARD_BITS bits
-    wide.  It tests the stop at the same checkpoints, step counts k that are
-    multiples of ``hyper._CHUNK``, a rescale, a zero term or the cap, once
-    every a + k >= 0 and b + k > 0: pairing each numerator a with the
-    smallest free denominator b >= a, else the largest free one (the (k+1)
-    factor is the denominator 1), rho = z_sq prod over pairs max(1, |a + k| /
-    (b + k)) / prod over the rest (b + k), and the sum stops once rho < 1 and
-    |t_k| rho / (1 - rho) <= target_rel_err / 4 |S|.
+    than 2 _GUARD_BITS wider than bits and has been summed, the term and the
+    sum are shifted right until the term is bits + _GUARD_BITS bits wide.  It
+    tests the stop at the same checkpoints, step counts k that are multiples
+    of ``hyper._CHUNK``, a rescale, a zero term or the cap, once every a + k
+    >= 0 and b + k > 0: pairing each numerator a with the smallest free
+    denominator b >= a, else the largest free one (the (k+1) factor is the
+    denominator 1), rho = z_sq prod over pairs max(1, |a + k| / (b + k)) /
+    prod over the rest (b + k), and the sum stops once rho < 1 and |t_k| rho
+    / (1 - rho) <= target_rel_err / 4 |S|.  It bounds the floor errors by the
+    same rule in the same double operations: e, the error of t_k, takes e
+    |ratio| + 1 at each step until the first checkpoint with rho < 1 and e + 1
+    after it, f adds each step's e, and a rescale by 2^-cut takes both to
+    e 2^-cut + 1 and f 2^-cut + 1.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -399,11 +403,14 @@ def reference_eval_pfq(
     budget = Fraction(target_rel_err) / 4
 
     one = 1 << bits
-    term = total = peak = one
-    shift = rescales = 0
+    term = total = one
+    shift = 0
     k = 0  # steps taken: t_0 .. t_k summed
     wide = False  # the last step rescaled
     stop = None  # (|t_k|, rho) where the sum stopped
+    turned = False  # a checkpoint had rho < 1
+    e = f = 0.0  # floor errors, in units: of t_k and of the sum, as of step k_s
+    k_s = 0
     while True:
         ratio = -x * math.prod(a + k for a in nums) / ((k + 1) * math.prod(b + k for b in dens))
         if ratio == 0:  # t_{k+1} and every later term vanish
@@ -413,6 +420,7 @@ def reference_eval_pfq(
                 rho = x / math.prod(b + k for b in free)
                 for a, b in pairs:
                     rho *= max(Fraction(1), abs(a + k) / (b + k))
+                turned = turned or rho < 1
                 if rho < 1 and abs(term) * rho <= budget * abs(total) * (1 - rho):
                     stop = abs(term), rho
                     break
@@ -421,25 +429,41 @@ def reference_eval_pfq(
         term = term * ratio.numerator // ratio.denominator
         k += 1
         total += term
-        peak = max(peak, abs(term))
+        if not turned:
+            try:
+                e = e * float(abs(ratio)) + 1.0
+            except OverflowError:
+                e = math.inf
+            f += e
+            k_s = k
         cut = term.bit_length() - bits - _GUARD_BITS
         wide = cut > _GUARD_BITS
         if wide:
             shift += cut
-            rescales += 1
             term >>= cut
             total >>= cut
-            peak >>= cut
+            n = k - k_s
+            if n:
+                f += n * e + n * (n + 1) / 2
+                e += n
+            e, f, k_s = math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0, k
 
     terms_used = k + 1
     exact = Fraction(total << shift, one)
     value = float(exact)
+    n = k - k_s
+    if n:
+        f += n * e + n * (n + 1) / 2
+        e += n
+    slack = 1.0 + terms_used * 2.0**-46
+    e, f = e * slack, f * slack
+    if not f < math.inf:
+        return EvalResult(value, math.inf, terms_used, bits)
     unit = Fraction(1 << shift, one)
-    charge = peak * Fraction(2, one)  # one term's floor errors, in units
-    err = (charge * (terms_used + 2) + rescales) * unit
+    err = Fraction(f) * unit
     if stop is not None:
         mag, rho = stop
-        err += (mag + charge) * rho / (1 - rho) * unit
+        err += (mag + Fraction(e)) * rho / (1 - rho) * unit
     err += abs(exact - Fraction(value))
     return EvalResult(
         value=value,
@@ -582,6 +606,9 @@ class TestTailBound:
     )
     @example(series=EIGEN_FAMILY[0], z=7.5, tol=1e-2)
     @example(series=EIGEN_FAMILY[0], z=9.5, tol=1e-10)
+    # t_1 ~ 1e-32 is 2^-106 of t_0, and t_3 ~ 45 t_1: the floor error made at
+    # t_1 grows with the terms after it
+    @example(series=HypergeometricSeries((-3.0, 1.0, 4.795649000782479e-35), (1.0, 1.0, 1.0, 1.0)), z=11.0, tol=1e-15)
     @settings(max_examples=100, deadline=None)
     def test_estimate_covers_absolute_tail(self, series, z, tol):
         res = eval_pfq(series, z * z, tol)
