@@ -150,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument("--nu-min", type=float, default=0.0)
     p_eigs.add_argument("--nu-max", type=float, default=30.0)
     p_eigs.add_argument("--points", type=int, default=1000)
-    p_eigs.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tolerance of the series")
+    p_eigs.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="relative tolerance of the series rows only; under --policy hybrid the rows past --z-switch "
+        "come from the leading-order large-z forms, which it does not bound",
+    )
     p_eigs.add_argument("--policy", choices=("series", "hybrid"), default="hybrid")
     p_eigs.add_argument("--z-switch", dest="z_switch", type=float, default=DEFAULT_Z_SWITCH)
     p_eigs.add_argument("--format", choices=("csv", "json"), default="csv")

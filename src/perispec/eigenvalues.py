@@ -20,8 +20,9 @@ the two polynomials (2k+3) and (k+1)(b+k) as stated here.
 
 ``eval_spectrum`` takes the series up to ``z_switch`` and the closed-form
 asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
-It walks its series rows in lockstep blocks of ``_BLOCK_ROWS``
-(``hyper.contiguous_values``); each row gets the bits of its own walk.
+It walks its series rows at z <= ``hyper.RESCALE_FREE_Z`` (44.36) in lockstep
+blocks of ``_BLOCK_ROWS`` (``hyper.contiguous_values``), and every later row,
+whose walk rescales, alone; each row gets the bits of its own walk.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .asymptotics import AsymptoticForms
 from .hyper import (
     DOUBLE_BITS,
+    RESCALE_FREE_Z,
     EvalResult,
     HypergeometricSeries,
     check_target_rel_err,
@@ -44,8 +46,10 @@ from .material import DerivedParams, MaterialParams, check_nu_norms, derive, z_o
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
 
-#: Series rows ``eval_spectrum`` walks in lockstep: enough to spread the
-#: interpreter's work per term step, few enough to keep the walk's state small.
+#: Series rows ``eval_spectrum`` walks in lockstep, each at z <= ``RESCALE_FREE_Z``:
+#: enough to spread the interpreter's work per term step, few enough to keep the
+#: walk's state small.  Past that z a row walks alone: a block of rows that
+#: rescale took about twice as long as their walks alone.
 _BLOCK_ROWS = 48
 
 
@@ -193,8 +197,10 @@ def eval_spectrum(
     asymptotic constants) is done once for the whole grid.  The grid,
     ``z_switch`` and ``tol`` are checked up front, the last two even when no
     row uses them.  A row whose lambda1 or lambda2 is not finite raises
-    ``OverflowError`` naming its wavenumber; the series rows are walked in
-    blocks, and a block's errors come before a later row's.
+    ``OverflowError`` naming its wavenumber.  The series rows at z <=
+    ``RESCALE_FREE_Z`` are walked in blocks and every later one alone (same
+    values either way), and the first row in grid order that fails names the
+    error: a lone row's error waits for the pending block's.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
@@ -232,8 +238,16 @@ def eval_spectrum(
         if nu == 0.0:
             samples.append(SpectrumSample(nu, 0.0, 0.0, 0.0, 0.0, asym1, asym2, "series", branch))
             continue
-        pending.append((len(samples), nu, z, asym1, asym2, branch))
+        row = (len(samples), nu, z, asym1, asym2, branch)
         samples.append(None)
+        if z > RESCALE_FREE_Z:  # a row that may rescale walks alone
+            try:
+                plan.fill(samples, [row], tol)
+            except ArithmeticError:
+                plan.fill(samples, pending, tol)  # an earlier row's error comes first
+                raise
+            continue
+        pending.append(row)
         if len(pending) == _BLOCK_ROWS:
             plan.fill(samples, pending, tol)
     if pending:

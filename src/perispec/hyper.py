@@ -6,12 +6,17 @@ So they are summed in binary fixed point, every term an integer count of
 one unit, 2^-bits at first (``required_bits``).  Parameters and z^2 are
 doubles, hence exact dyadic rationals: a term step is one integer multiply and
 one floor division (error below one unit), the stop test is an exact integer
-comparison, and each sum is rounded to double once.  Its error estimate is
-certified: a geometric bound on the omitted tail, the floor errors, and the
-rounding to double.  Floor errors reach a term amplified to about |t_k| 2^-bits,
-so its low bits carry nothing: once the terms outgrow bits by 2
-``_GUARD_BITS``, the walk coarsens its unit, and no integer in it gets much
-wider than that, where the peak terms would otherwise be 2 bits wide.
+comparison, and each sum is rounded to double once.  The series keeps its term
+ratios in lowest structural terms: a factor on both sides cancels (a
+numerator 1 against the (k+1) of the terms' k!), and so do the scales' common
+factors.  A floor depends on the rational ratio alone, so the terms are those
+of the uncancelled integers, which at large z are about twice as wide.  Its
+error estimate is certified: a geometric bound on the omitted tail, the floor
+errors, and the rounding to double.  Floor errors reach a term amplified to
+about |t_k| 2^-bits, so its low bits carry nothing: once the terms outgrow
+bits by 2 ``_GUARD_BITS``, the walk coarsens its unit, and no integer in it
+gets much wider than that, where the peak terms would otherwise be 2 bits
+wide.
 
 ``eval_contiguous`` is the one summation loop.  It walks the terms t_k of a
 base series once and sums t_k W(k) / W(0) for each weight the caller states,
@@ -26,7 +31,9 @@ the relative tolerance.  ``eval_pfq`` is its one-weight case, W = 1.
 walk steps the block's rows in lockstep, each term step one builtin ``map``
 pass over the live rows with the ratios they share, while every row keeps
 its own checkpoints, so each row's integers are those of a walk at its
-argument alone.  The z-independent term ratios and weight values are
+argument alone.  A block costs more than walks alone where its rows
+rescale, so ``eval_spectrum`` blocks only the rows at z <= ``RESCALE_FREE_Z``
+(44.36), which never do.  The z-independent term ratios and weight values are
 memoised on the base series (not process-wide) up to the highest term any
 sum reached.  ``eval_pfq_float64`` is the deliberately naive
 double-precision summation kept to demonstrate (and regression-test) why the
@@ -64,6 +71,10 @@ _BUDGET_SHIFT = 2
 _GUARD_BITS = 64
 
 _LOG2_E = math.log2(math.e)
+
+#: Terms bounded by e^(2z), as the eigenvalue series' are, never reach the coarsening
+#: width while 2 z log2(e) <= 2 _GUARD_BITS: a walk at z up to this (44.36) never rescales.
+RESCALE_FREE_Z = _GUARD_BITS / _LOG2_E
 
 _REL_ERR_RANGE = (1e-15, 1e-2)
 
@@ -103,8 +114,9 @@ class HypergeometricSeries:
     """A pFq specification: numerator a_1..a_p and denominator b_1..b_q.
 
     Outside its two fields, and so outside equality and hashing, the object
-    keeps the memos of z-independent term ratios and weight values that
-    ``eval_contiguous`` fills.
+    keeps its term ratios' integer factors, in lowest structural terms (no
+    factor on both sides, coprime scales), and the memos of z-independent
+    term ratios and weight values that ``eval_contiguous`` fills.
     """
 
     numerator_params: tuple
@@ -120,14 +132,21 @@ class HypergeometricSeries:
         for b in dens:
             if b <= 0.0 and b == math.floor(b):
                 raise InvalidSeriesError(f"denominator parameter {b} is a nonpositive integer")
-        # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly.
-        int_nums = tuple(map(float.as_integer_ratio, nums))
-        int_dens = tuple(map(float.as_integer_ratio, dens))
-        scales = math.prod(map(itemgetter(1), int_dens)), math.prod(map(itemgetter(1), int_nums))
+        # Every double is a dyadic rational p/q, so a + k = (p + k q)/q exactly.  A factor on
+        # both sides (a numerator 1 against the (k+1) of k!) cancels from every ratio, and
+        # the scales' gcd from both: a floor depends on the ratio alone.
+        int_nums = list(map(float.as_integer_ratio, nums))
+        int_dens = list(map(float.as_integer_ratio, dens)) + [(1, 1)]
+        for pq in int_nums.copy():
+            if pq in int_dens:
+                int_nums.remove(pq)
+                int_dens.remove(pq)
+        num_scale, den_scale = math.prod(map(itemgetter(1), int_dens)), math.prod(map(itemgetter(1), int_nums))
+        g = math.gcd(num_scale, den_scale)
         # Set in the instance dict, as the fields are frozen.  Memos (see eval_contiguous): term ratios
         # ([num_0, ...], [den_0, ...]) and {factors: [W(0), W(1), ...]} for each weight summed.
         vars(self).update(numerator_params=nums, denominator_params=dens, _ratios=([], []), _weights={})
-        vars(self)["_integer_params"] = (int_nums, int_dens + ((1, 1),)) + scales
+        vars(self)["_integer_params"] = (tuple(int_nums), tuple(int_dens), num_scale // g, den_scale // g)
         vars(self)["_tail"] = _tail_bound(nums, dens)
 
 
@@ -206,8 +225,10 @@ def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[
     """
     # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
     # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
-    # (k+1) prod(p_b + k q_b).  The base memoises them and each weight's W(k); the
-    # walk extends private copies of the memo lists and publishes them if longer.
+    # (k+1) prod(p_b + k q_b), without the factors on both sides and the scales'
+    # gcd: a floor depends on num_k / den_k alone.  The base memoises them and
+    # each weight's W(k); the walk extends private copies of the memo lists and
+    # publishes them if longer.
     nums, dens, num_scale, den_scale = base._integer_params
     k_min, end, a_scale, a_factors, b_scale, b_factors = base._tail
     ratio_nums, ratio_dens = map(list, base._ratios)

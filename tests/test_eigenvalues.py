@@ -24,7 +24,7 @@ from perispec.eigenvalues import (
     navier_eigenvalues,
     z_of,
 )
-from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, _walk, eval_pfq
+from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, _walk, eval_contiguous, eval_pfq
 from test_hyper import bruteforce_pfq
 
 
@@ -306,6 +306,13 @@ class TestEvalSpectrum:
         with pytest.raises(OverflowError, match=re.escape(f"nu_norm = {nu!r}")):
             eval_spectrum(params, [0.0, nu])
 
+    def test_first_bad_row_names_the_error(self):
+        # the z = 2 row waits in a block while the z = 150 row walks alone and
+        # fails first; the error still names the earlier row
+        params = params_for(3, 5.0, mu=1e308)
+        with pytest.raises(OverflowError, match=re.escape("nu_norm = 2.0")):
+            eval_spectrum(params, [2.0, 300.0], math.inf)
+
     def test_series_row_with_only_asym1_overflowing(self):
         # the companion is a large-z form; a series row leaves it absent instead of failing
         p = params_for(3, 1.0, mu=1e300)
@@ -517,3 +524,17 @@ class TestRowAccuracy:
         # below the smallest normal double (nu^2 underflows near nu = 1e-154) the bound is absolute
         assert abs(row.lambda1 - (l11 + l12)) <= tol * max(abs(l11) + abs(l12), sys.float_info.min)
         assert abs(row.lambda2 - l2) <= tol * max(abs(l2), sys.float_info.min)
+
+
+class TestBoundedEveryWavenumber:
+    """The paper's integral form bounds every eigenvalue by its Navier value at
+    every wavenumber for beta < n+2: |2F3|, |3F4| and |1F2(a; b, a+1; -z^2)| <= 1."""
+
+    @given(data=st.data(), n=st.integers(1, 6), z=st.floats(min_value=0.0, max_value=300.0),
+           tol=st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=100, deadline=None)
+    def test_transverse_members_within_one(self, data, n, z, tol):
+        beta = data.draw(st.floats(min_value=-4.0, max_value=n + 2.0, exclude_max=True), label="beta")
+        plan = _Plan(params_for(n, beta))
+        for factors, res in zip(plan.weights, eval_contiguous(plan.transverse, plan.weights, z * z, tol)):
+            assert abs(res.value) <= 1.0 + res.abs_error_estimate, (factors, beta)

@@ -493,6 +493,45 @@ def memo_series(draw):
     return HypergeometricSeries(tuple(nums), tuple(dens))
 
 
+#: The transverse 2F3(1, a; 2, b+1, a+1) of the large-z material, n = 2 and beta =
+#: 2.123456789: its numerator 1 cancels the k! and its scales 2^52 each other.
+LARGE_Z_A = 0.5 * (4 - 2.123456789)
+LARGE_Z_2F3 = HypergeometricSeries((1.0, LARGE_Z_A), (2.0, 3.0, LARGE_Z_A + 1.0))
+
+
+@st.composite
+def cancelling_series(draw):
+    """``memo_series`` draws, some with a denominator copied into the
+    numerators or a numerator 1.0 (which cancels the k! of the terms)."""
+    series = draw(memo_series())
+    nums, dens = list(series.numerator_params), series.denominator_params
+    kind = draw(st.sampled_from(["drawn", "copied", "one"]))
+    if kind != "drawn":
+        nums[draw(st.integers(0, len(nums) - 1))] = draw(st.sampled_from(dens)) if kind == "copied" else 1.0
+    return HypergeometricSeries(tuple(nums), dens)
+
+
+class TestLowestTerms:
+    @given(series=cancelling_series(), z=st.floats(min_value=0.5, max_value=20.0))
+    @example(series=LARGE_Z_2F3, z=20.0)
+    @example(series=HypergeometricSeries((2.25, 2.25, 1.0), (2.25, 1.0, 0.75, 1.0)), z=5.0)
+    @settings(max_examples=100, deadline=None)
+    def test_memo_ratios_are_exact_in_lowest_terms(self, series, z):
+        # the memo's num_k / den_k is the exact term ratio over -z_sq; the scales
+        # are coprime and no factor appears on both sides
+        eval_pfq(series, z * z, 1e-12)
+        ratio_nums, ratio_dens = series._ratios
+        assert ratio_nums or 0.0 in series.numerator_params  # a numerator 0 ends the walk at t_0
+        nums = [Fraction(a) for a in series.numerator_params]
+        dens = [Fraction(b) for b in series.denominator_params]
+        for k, (num, den) in enumerate(zip(ratio_nums, ratio_dens)):
+            want = math.prod(a + k for a in nums) / ((k + 1) * math.prod(b + k for b in dens))
+            assert Fraction(num, den) == want, k
+        int_nums, int_dens, num_scale, den_scale = series._integer_params
+        assert math.gcd(num_scale, den_scale) == 1
+        assert not set(int_nums) & set(int_dens)
+
+
 class TestMemoisedRatios:
     @given(
         series=memo_series(),
@@ -652,6 +691,11 @@ class TestCoarsenedUnit:
         tol=st.sampled_from([1e-15, 1e-10]),
         bits_extra=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
     )
+    # the large-z transverse 2F3, where the cancellation bites
+    @example(series=LARGE_Z_2F3, z=150.0, tol=1e-15, bits_extra=None)
+    @example(series=LARGE_Z_2F3, z=60.0, tol=1e-10, bits_extra=150)
+    # a numerator equal to a denominator cancels from every ratio
+    @example(series=HypergeometricSeries((math.e, 0.3), (1.1, math.e, 4.5)), z=97.0, tol=1e-10, bits_extra=None)
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_kernel(self, series, z, tol, bits_extra):
         # the reference applies the same rule term by term, so both kernels
