@@ -20,9 +20,10 @@ the two polynomials (2k+3) and (k+1)(b+k) as stated here.
 
 ``eval_spectrum`` takes the series up to ``z_switch`` and the closed-form
 asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
-It walks its series rows at z <= ``hyper.RESCALE_FREE_Z`` (44.36) in lockstep
-blocks of ``_BLOCK_ROWS`` (``hyper.contiguous_values``), and every later row,
-whose walk rescales, alone; each row gets the bits of its own walk.
+Its series rows at z <= ``hyper.RESCALE_FREE_Z`` (44.36), where no walk
+coarsens its unit, go in lockstep blocks of ``_BLOCK_ROWS`` (the block walk,
+``hyper.contiguous_values``), and every later row, like a single point, takes
+the one-row walk (``hyper.eval_contiguous``); each row gets the bits of its own.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ DEFAULT_Z_SWITCH = 20.0
 
 #: Series rows ``eval_spectrum`` walks in lockstep, each at z <= ``RESCALE_FREE_Z``:
 #: enough to spread the interpreter's work per term step, few enough to keep the
-#: walk's state small.  Past that z a row walks alone: a block of rows that
-#: rescale took about twice as long as their walks alone.
+#: walk's state small.  The block walk never coarsens its unit, so a row past that
+#: z walks alone.
 _BLOCK_ROWS = 48
 
 
@@ -109,23 +110,23 @@ class _Plan:
         p2, p11, p12 = self.prefactors(nu)
         return p2 * s2, p11 * s11, 0.0 if s12 is None else p12 * s12 * s12
 
-    def parts(self, nu: float, z: float, tol: float) -> Tuple[float, float, float]:
-        """lambda2, lambda11 and lambda12 at one wavenumber ``nu`` > 0, with
-        z = ``z_of(params, nu)``, from one walk of the transverse terms."""
-        return self.combine(nu, *contiguous_values(self.transverse, self.weights, (z * z,), tol)[0])
+    def sample(self, row: tuple, sums: Sequence[float]) -> SpectrumSample:
+        """A series row (index into the samples, nu, z, asym1, asym2, branch)
+        from the sums of ``weights`` at its z; ``OverflowError`` if lambda1
+        or lambda2 is not finite."""
+        _, nu, _, asym1, asym2, branch = row
+        l2, l11, l12 = self.combine(nu, *sums)
+        l1 = l11 + l12
+        if not (isfinite(l1) and isfinite(l2)):
+            raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
+        return SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch)
 
     def fill(self, samples: list, pending: list, tol: float) -> None:
-        """Put each ``pending`` series row (index into ``samples``, nu, z,
-        asym1, asym2, branch) in its place in ``samples``, the rows' parts from
-        one lockstep walk (``hyper.contiguous_values``), and empty ``pending``.
-        A row whose lambda1 or lambda2 is not finite raises ``OverflowError``."""
+        """Put each ``pending`` row's sample in its place in ``samples``, the sums
+        from one lockstep walk (``hyper.contiguous_values``), and empty ``pending``."""
         block = contiguous_values(self.transverse, self.weights, [row[2] * row[2] for row in pending], tol)
-        for (i, nu, _, asym1, asym2, branch), sums in zip(pending, block):
-            l2, l11, l12 = self.combine(nu, *sums)
-            l1 = l11 + l12
-            if not (isfinite(l1) and isfinite(l2)):
-                raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
-            samples[i] = SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch)
+        for row, sums in zip(pending, block):
+            samples[row[0]] = self.sample(row, sums)
         pending.clear()
 
 
@@ -239,14 +240,15 @@ def eval_spectrum(
             samples.append(SpectrumSample(nu, 0.0, 0.0, 0.0, 0.0, asym1, asym2, "series", branch))
             continue
         row = (len(samples), nu, z, asym1, asym2, branch)
-        samples.append(None)
-        if z > RESCALE_FREE_Z:  # a row that may rescale walks alone
+        if z > RESCALE_FREE_Z:  # past the blocks' range: the row walks alone
             try:
-                plan.fill(samples, [row], tol)
+                sums = [res.value for res in eval_contiguous(plan.transverse, plan.weights, z * z, tol)]
+                samples.append(plan.sample(row, sums))
             except ArithmeticError:
                 plan.fill(samples, pending, tol)  # an earlier row's error comes first
                 raise
             continue
+        samples.append(None)
         pending.append(row)
         if len(pending) == _BLOCK_ROWS:
             plan.fill(samples, pending, tol)

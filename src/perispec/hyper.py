@@ -5,39 +5,31 @@ catastrophic cancellation: the terms peak near e^(2z) while the sum is O(1).
 So they are summed in binary fixed point, every term an integer count of
 one unit, 2^-bits at first (``required_bits``).  Parameters and z^2 are
 doubles, hence exact dyadic rationals: a term step is one integer multiply and
-one floor division (error below one unit), the stop test is an exact integer
-comparison, and each sum is rounded to double once.  The series keeps its term
-ratios in lowest structural terms: a factor on both sides cancels (a
-numerator 1 against the (k+1) of the terms' k!), and so do the scales' common
-factors.  A floor depends on the rational ratio alone, so the terms are those
-of the uncancelled integers, which at large z are about twice as wide.  Its
-error estimate is certified: a geometric bound on the omitted tail, the floor
+one floor division (error below one unit) by the term ratio, kept in lowest
+terms as a floor depends on the rational ratio alone; the stop test is an
+exact integer comparison, and each sum is rounded to double once.  Its error
+estimate is certified: a geometric bound on the omitted tail, the floor
 errors, and the rounding to double.  Floor errors reach a term amplified to
 about |t_k| 2^-bits, so its low bits carry nothing: once the terms outgrow
 bits by 2 ``_GUARD_BITS``, the walk coarsens its unit, and no integer in it
-gets much wider than that, where the peak terms would otherwise be 2 bits
-wide.
+gets much wider than that, where the peak terms would otherwise be 2 bits wide.
 
-``eval_contiguous`` is the one summation loop.  It walks the terms t_k of a
-base series once and sums t_k W(k) / W(0) for each weight the caller states,
-W(k) a product of integer linear factors: with t_k the term of
-2F3(1, a; 2, b+1, a+1), the 3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is
-t_k (2k+3)/3 and the 1F2(a; b, a+1) term is t_k (k+1)(b+k)/b.  It adds the
-terms to each sum a chunk at a time, with one builtin ``sum``, and tests the
-stop once per chunk: a sum stops when the bound |t_k W(k)| rho / (1 - rho)
-on its tail, rho a bound on every later term ratio, is within a quarter of
-the relative tolerance.  ``eval_pfq`` is its one-weight case, W = 1.
-``contiguous_values`` gives the values alone at a block of arguments: the
-walk steps the block's rows in lockstep, each term step one builtin ``map``
-pass over the live rows with the ratios they share, while every row keeps
-its own checkpoints, so each row's integers are those of a walk at its
-argument alone.  A block costs more than walks alone where its rows
-rescale, so ``eval_spectrum`` blocks only the rows at z <= ``RESCALE_FREE_Z``
-(44.36), which never do.  The z-independent term ratios and weight values are
-memoised on the base series (not process-wide) up to the highest term any
-sum reached.  ``eval_pfq_float64`` is the deliberately naive
-double-precision summation kept to demonstrate (and regression-test) why the
-fixed-point path exists.
+``eval_contiguous`` walks the terms t_k of a base series once and sums
+t_k W(k) / W(0) for each weight the caller states, W(k) a product of integer
+linear factors: with t_k the term of 2F3(1, a; 2, b+1, a+1), the
+3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is t_k (2k+3)/3 and the 1F2(a; b, a+1)
+term is t_k (k+1)(b+k)/b.  ``eval_pfq`` is its one-weight case, W = 1.  There
+are two walks, which share one stop test (``_stops``).  A single point walks
+alone, its state in scalar locals (``_row_walk``): the only walk that coarsens
+its unit, it carries the floor-error bound the estimate needs.
+``contiguous_values`` gives the values alone at a block of arguments, each at
+z <= ``RESCALE_FREE_Z`` (44.36), where no walk coarsens (``_block_walk``): a
+term step is one builtin ``map`` pass over the live rows, and each row keeps
+its own checkpoints, so its integers are those of its walk alone.  The
+z-independent term ratios and weight values are memoised on the base series
+(not process-wide) up to the highest term any sum reached.
+``eval_pfq_float64`` is the deliberately naive double-precision summation
+kept to demonstrate (and regression-test) why the fixed-point path exists.
 """
 
 from __future__ import annotations
@@ -210,252 +202,257 @@ def _at(scale: int, factors: tuple, k: int) -> int:
     return scale
 
 
-def _walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float], target_rel_err: float,
-          bits: Optional[int], errors: bool = False) -> Iterator[tuple]:
-    """``eval_contiguous``'s walk at every z_sq of a block, without its argument checks.
+class _Walk:
+    """What a walk's rows share: the stop's budget target_rel_err / 2^_BUDGET_SHIFT
+    as tol_p / tol_q, and private copies of the base's memos, extended as it goes
+    and published at its end: per weight [W(0), W(1), ...] (None for W = 1) and
+    the term ratios [num_k], [den_k], t_{k+1}/t_k = -z_sq num_k / den_k.  With
+    each parameter a = p/q exactly, num_k = prod q_b prod(p_a + k q_a) and den_k
+    = prod q_a (k+1) prod(p_b + k q_b), less the factors on both sides and the
+    scales' gcd."""
 
-    Yields (i, bits, shift, rescales, floors, sums) for the i-th z_sq once its
-    last sum stops: the row's final unit 2^(shift - bits), its rescale count,
-    its floor-error state (``_floors_at``; None unless ``errors``, which needs
-    a single z_sq) and per weight (S, terms used, (|t_N W(N)|, P, Q - P) of
-    the stopping checkpoint or None if the series ended, the W memo values or
-    None for W = 1).  Every sum ends at its row's final unit: a sum stops only
-    past the turn (below), and no rescale comes after it.  The memos are
-    published after the last row.
+    def __init__(self, base: HypergeometricSeries, weights: Sequence[tuple], target_rel_err: float):
+        self.base, self.weights = base, weights
+        self.tol_p, tol_q = target_rel_err.as_integer_ratio()
+        self.tol_q = tol_q << _BUDGET_SHIFT
+        # |t W| P tol_q > tol_p |S| (Q - P) holds whenever a bit-length sum reaches this
+        self.reject_bits = self.tol_q.bit_length() - self.tol_p.bit_length() - 4
+        self.nums, self.dens = map(list, base._ratios)
+        memo = base._weights
+        self.values = [list(memo.get(f) or [_at(1, f, 0)]) if f else None for f in weights]
+
+    def grow(self, last: int) -> None:
+        """Extend the copies to num_k, den_k for k < last and W(k) for k < last + 2."""
+        nums, dens, num_scale, den_scale = self.base._integer_params
+        if len(self.nums) < last:
+            self.nums += _products(num_scale, nums, len(self.nums), last)
+            self.dens += _products(den_scale, dens, len(self.dens), last)
+        for factors, vals in zip(self.weights, self.values):
+            if vals is not None and len(vals) < last + 2:
+                vals += _products(1, factors, len(vals), last + 2)
+
+    def checkpoint(self, k: int) -> tuple:
+        """What the stop tests at step k share: A_k and B_k (``_tail_bound``),
+        tol_p, tol_q and per weight W(k), W(k+1) and the bits that W(k) and
+        the budget add to the bit-length pre-test."""
+        _, _, a_scale, a_factors, b_scale, b_factors = self.base._tail
+        shared = self.reject_bits
+        return _at(a_scale, a_factors, k), _at(b_scale, b_factors, k), self.tol_p, self.tol_q, [
+            (1, 1, shared) if v is None else (v[k], v[k + 1], v[k].bit_length() + shared) for v in self.values
+        ]
+
+    def publish(self) -> None:
+        """Give the base the longer copies, one assignment each: readers see the old memo or the new one."""
+        base = self.base
+        if len(self.nums) > len(base._ratios[0]):
+            object.__setattr__(base, "_ratios", (self.nums, self.dens))
+        memo = base._weights
+        grown = {f: v for f, v in zip(self.weights, self.values) if v and len(v) > len(memo.get(f, ()))}
+        if grown:
+            object.__setattr__(base, "_weights", {**memo, **grown})
+
+
+def _stops(at_k: tuple, zp: int, exp: int, term: int, totals: list) -> Optional[list]:
+    """The stop test of both walks at a checkpoint ``at_k`` (``_Walk.checkpoint``)
+    of a row at z_sq = zp / 2^exp with base term ``term``: None while its
+    terms may still rise, else per sum S of ``totals`` (None where it has
+    stopped) its stop (|t_k W(k)|, P, Q - P), or None where the tail bound is
+    not yet within the budget.
     """
-    # With each parameter a = p/q exactly, t_{k+1}/t_k = -z_sq num_k / den_k for the
-    # z-independent integers num_k = prod q_b prod(p_a + k q_a), den_k = prod q_a
-    # (k+1) prod(p_b + k q_b), without the factors on both sides and the scales'
-    # gcd: a floor depends on num_k / den_k alone.  The base memoises them and
-    # each weight's W(k); the walk extends private copies of the memo lists and
-    # publishes them if longer.
-    nums, dens, num_scale, den_scale = base._integer_params
-    k_min, end, a_scale, a_factors, b_scale, b_factors = base._tail
-    ratio_nums, ratio_dens = map(list, base._ratios)
-    memo = base._weights
-    values = [list(memo.get(f) or [_at(1, f, 0)]) if f else None for f in weights]
-    tol_p, tol_q = target_rel_err.as_integer_ratio()
-    tol_q <<= _BUDGET_SHIFT
-    # |t W| P tol_q > tol_p |S| (Q - P) holds whenever a bit-length sum reaches this
-    reject_bits = tol_q.bit_length() - tol_p.bit_length() - 4
+    a_k, b_k, tol_p, tol_q, at_w = at_k
+    # every later base ratio |t_{j+1}/t_j|, j >= k, is at most p0/q0
+    p0 = zp * a_k
+    q0 = b_k << exp
+    if p0 >= q0:
+        return None
+    t_bits = term.bit_length()
+    found = []
+    for total, (wk, wk1, shared_bits) in zip(totals, at_w):
+        stop = None
+        if total is not None:
+            p = p0 * wk1
+            d = q0 * wk - p  # d <= 0: this sum's terms t_j W(j) may still rise
+            if d > 0 and not (term and t_bits + shared_bits + p.bit_length() >= total.bit_length() + d.bit_length()):
+                mag = abs(term) * wk
+                if mag * p * tol_q <= tol_p * abs(total) * d:
+                    stop = (mag, p, d)
+        found.append(stop)
+    return found
 
-    # One list per quantity of the live rows: the index i of z_sq, its bits,
-    # shift, rescale count and term cap; t_k, -zp and log2 zq (z_sq = zp / zq
-    # exactly) and the width that rescales, which the steps read; max |t_k|;
-    # per weight the sums and the stops, each None until its sum stops; and
-    # the count of sums still open.
-    rows, row_bits, caps, terms, mzps, exps, limits = [], [], [], [], [], [], []
-    floors = (0, 0.0, 0.0) if errors else None
-    for i, z_sq in enumerate(z_sqs):
-        z = math.sqrt(z_sq)
-        b = required_bits(z) if bits is None else bits
-        if b > MAX_PRECISION_BITS:
-            raise PrecisionExhaustedError(f"z = {z:g} needs {b} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
-        zp, zq = z_sq.as_integer_ratio()
-        if not zp:  # t_1 = 0: every sum is exact at t_0
-            yield i, b, 0, 0, floors, [((1 << b) * (v[0] if v else 1), 1, None, v) for v in values]
-            continue
-        rows.append(i)
-        row_bits.append(b)
-        caps.append(default_max_terms(z))
-        terms.append(1 << b)
-        mzps.append(-zp)
-        exps.append(zq.bit_length() - 1)
-        limits.append(b + 2 * _GUARD_BITS)
-    shifts, rescales, peaks = [0] * len(rows), [0] * len(rows), terms.copy()
-    sums, stops = [], []
-    for v in values:
-        sums.append(terms.copy() if v is None else list(map(operator.mul, terms, repeat(v[0]))))
-        stops.append([None] * len(rows))
-    opens = [len(weights)] * len(rows)
-    active = range(len(weights))  # the weights some live row still sums
-    rising = True  # until a checkpoint of every live row bounds its later term ratios below 1
-    extended = False  # a weight's memo list grew
-    known = 0  # every weight's memo list holds W(0) .. W(known - 1)
 
-    k = 0  # term steps taken: the walk holds t_0 .. t_k of every live row
-    while rows:
-        if k == end:  # the next term is 0: every live sum is exact
-            for r in range(len(rows)):
-                yield rows[r], row_bits[r], shifts[r], rescales[r], floors, [
-                    stop[r] or (s[r], k + 1, None, v) for stop, s, v in zip(stops, sums, values)]
+def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float, target_rel_err: float,
+              bits: Optional[int]) -> tuple:
+    """``eval_contiguous``'s walk, without its argument checks: (bits, shift,
+    floors, sums), the final unit 2^(shift - bits), the floor-error state
+    (k_s, e, f) and per weight (S, terms used, the stop of ``_stops`` or None
+    if the series ended, the W memo values or None for W = 1).  Every sum
+    ends at the final unit: it stops only past the turn, where no rescale comes.
+    """
+    z = math.sqrt(z_sq)
+    bits = required_bits(z) if bits is None else bits
+    if bits > MAX_PRECISION_BITS:
+        raise PrecisionExhaustedError(f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    cap = default_max_terms(z)
+    k_min, end = base._tail[:2]
+    walk = _Walk(base, weights, target_rel_err)
+    ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
+    zp, zq = z_sq.as_integer_ratio()
+    if not zp:  # t_1 = 0: every sum is exact at t_0
+        end = 0
+    mzp, exp = -zp, zq.bit_length() - 1
+    limit = bits + 2 * _GUARD_BITS
+    term = 1 << bits
+    totals = [term if v is None else term * v[0] for v in values]  # each None once its sum stops
+    sums = [None] * len(weights)
+    shift = k_s = 0
+    e = f = 0.0  # in units: bounds on the error of t_k and on the sum of those, as of step k_s
+    rising = True  # until a checkpoint bounds every later term ratio below 1
+    k = 0  # term steps taken: the walk holds t_0 .. t_k
+    while None in sums:
+        if k == end:  # the next term is 0: every open sum is exact
+            sums = [st or (s, k + 1, None, v) for st, s, v in zip(sums, totals, values)]
             break
-        cap = min(caps)
         if k >= cap:
-            z = math.sqrt(z_sqs[rows[caps.index(cap)]])
             raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
         first = k
         last = min(first - first % _CHUNK + _CHUNK, cap, end)
-        if len(ratio_nums) < last:
-            ratio_nums += _products(num_scale, nums, len(ratio_nums), last)
-            ratio_dens += _products(den_scale, dens, len(ratio_dens), last)
-        if known < last + 2:
-            for factors, vals in zip(weights, values):
-                if vals is not None and len(vals) < last + 2:
-                    vals += _products(1, factors, len(vals), last + 2)
-                    extended = True
-            known = last + 2
-        # A step ends its chunk at a row's first zero term (every later one is 0
-        # too) or at a term to rescale: the sums add it, then the unit coarsens.
-        if len(rows) == 1:  # one row: the plain step
-            term, mzp, zq, limit = terms[0], mzps[0], 1 << exps[0], limits[0]
-            chunk = []
-            if floors is not None and rising:  # and the floor errors, step by step, until the turn
-                _, e, f = floors
-                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-                    x, y = num * mzp, den * zq
-                    term = term * x // y
-                    chunk.append(term)
-                    try:
-                        e = e * abs(x / y) + 1.0
-                    except OverflowError:  # a term ratio beyond the doubles
-                        e = math.inf
-                    f += e
-                    if not term or term.bit_length() > limit:
-                        break
-                floors = (first + len(chunk), e, f)
-            else:
-                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-                    term = term * (num * mzp) // (den * zq)
-                    chunk.append(term)
-                    if term.bit_length() > limit:
-                        break
-                if not term:
-                    del chunk[chunk.index(0) + 1 :]
-            k = first + len(chunk)
-            terms[0] = term
-            for w in active:
+        walk.grow(last)
+        chunk = []
+        for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+            x, y = num * mzp, den * zq
+            term = term * x // y
+            chunk.append(term)
+            if rising:  # the floor errors, step by step
+                try:
+                    e = e * abs(x / y) + 1.0
+                except OverflowError:  # a term ratio beyond the doubles
+                    e = math.inf
+                f += e
+            if not term or term.bit_length() > limit:  # a zero term (so is every later one) or a term to rescale
+                break
+        k = first + len(chunk)
+        if rising:
+            k_s = k
+        for w, s in enumerate(totals):
+            if s is not None:
                 vals = values[w]
-                sums[w][0] += sum(chunk if vals is None else map(operator.mul, chunk, vals[first + 1 : k + 1]))
-        else:  # the rows in lockstep: each term step is one builtin pass over them
-            # The chunk is tested once, on its terms and peaks (past every row's
-            # turn no term outgrows its limit), and stepped again, testing each
-            # step, only where a row's term hit 0 or outgrew its limit.
-            start, checking = terms, False
-            while True:
-                cols, terms = [], start  # the chunk's terms, a list per step
-                for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-                    terms = list(map(operator.rshift, map(operator.floordiv, map(
-                        operator.mul, map(operator.mul, terms, mzps), repeat(num)), repeat(den)), exps))
-                    cols.append(terms)
-                    if checking and (not all(terms) or any(map(operator.gt, map(int.bit_length, terms), limits))):
-                        break
-                if rising:  # a row past its turn keeps its peak, so every row may take the max
-                    chunk_peaks = list(map(max, peaks, *[map(abs, col) for col in cols]))
-                if checking or all(map(all, cols)) and not (
-                    rising and any(map(operator.gt, map(int.bit_length, chunk_peaks), limits))
-                ):
-                    break
-                checking = True
-            if rising:
-                peaks = chunk_peaks
-            k = first + len(cols)
-            for w in active:  # each row adds the chunk to each sum with one builtin sum
-                vals = values[w]
-                if vals is not None:
-                    cols_w = map(map, repeat(operator.mul), cols, map(repeat, vals[first + 1 : k + 1]))
-                sums[w] = list(map(sum, zip(sums[w], *(cols if vals is None else cols_w))))
+                totals[w] = s + sum(chunk if vals is None else map(operator.mul, chunk, vals[first + 1 : k + 1]))
+        cut = term.bit_length() - bits - _GUARD_BITS
+        if cut > _GUARD_BITS:  # a unit 2^cut times coarser: only before the turn, so k_s = k and every sum is open
+            shift += cut
+            term >>= cut
+            totals = [s >> cut for s in totals]
+            e, f = math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0  # the floors of the term and of each sum
+        if k < k_min or k == end:
+            continue
+        found = _stops(walk.checkpoint(k), zp, exp, term, totals)
+        if found is not None:
+            rising = False
+            for w, stop in enumerate(found):
+                if stop:
+                    sums[w] = (totals[w], k + 1, stop, values[w])
+                    totals[w] = None
+    walk.publish()
+    return bits, shift, (k_s, e, f), sums
 
-        # The checkpoints at k: every row's at a multiple of _CHUNK, at the series'
-        # end or if it walks alone, else those of the rows whose term is 0, is to
-        # rescale or reached its cap.
-        every = len(rows) == 1 or k % _CHUNK == 0 or k == end
-        test = k_min <= k != end
-        if test:
-            ma_k = -_at(a_scale, a_factors, k)
-            b_k = _at(b_scale, b_factors, k)
-            at_k = None  # per weight: W(k), W(k+1) and the part of the bit-length test they share
+
+def _block_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float],
+                target_rel_err: float) -> Iterator[tuple]:
+    """``_row_walk`` in lockstep at each z_sq of a block, every one at most
+    ``RESCALE_FREE_Z``^2: yields (i, bits, sums) for the i-th once its last sum
+    stops.  No row coarsens its unit, so a row's checkpoints are the multiples
+    of ``_CHUNK``, the cap (``MIN_TERM_CAP`` at every such z) and its steps from
+    its first zero term on: a chunk ends at any row's first zero term, and only
+    the rows at a zero term test their stop there.
+    """
+    k_min, end = base._tail[:2]
+    walk = _Walk(base, weights, target_rel_err)
+    ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
+    # Per live row: the index i of z_sq, its bits, t_k, -zp and log2 zq (z_sq = zp / zq);
+    # per weight and row the sum and the stop, None until it stops; the count of sums open.
+    rows, row_bits, terms, mzps, exps = [], [], [], [], []
+    for i, z_sq in enumerate(z_sqs):
+        b = required_bits(math.sqrt(z_sq))
+        zp, zq = z_sq.as_integer_ratio()
+        if not zp:  # t_1 = 0: every sum is exact at t_0
+            yield i, b, [((1 << b) * (v[0] if v else 1), 1, None, v) for v in values]
+            continue
+        rows.append(i)
+        row_bits.append(b)
+        terms.append(1 << b)
+        mzps.append(-zp)
+        exps.append(zq.bit_length() - 1)
+    sums = [terms.copy() if v is None else list(map(operator.mul, terms, repeat(v[0]))) for v in values]
+    stops = [[None] * len(rows) for _ in weights]
+    opens = [len(weights)] * len(rows)
+    active = range(len(weights))  # the weights some live row still sums
+    cap = default_max_terms(RESCALE_FREE_Z)
+    k = 0  # term steps taken: the walk holds t_0 .. t_k of every live row
+    while rows:
+        if k == end:  # the next term is 0: every live sum is exact
+            for r, i in enumerate(rows):
+                yield i, row_bits[r], [stop[r] or (s[r], k + 1, None, v) for stop, s, v in zip(stops, sums, values)]
+            break
+        if k >= cap:
+            z = math.sqrt(z_sqs[rows[0]])
+            raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+        first = k
+        last = min(first - first % _CHUNK + _CHUNK, cap, end)
+        walk.grow(last)
+        cols = []  # the chunk's terms, a list per step
+        for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
+            terms = list(map(operator.rshift, map(operator.floordiv, map(
+                operator.mul, map(operator.mul, terms, mzps), repeat(num)), repeat(den)), exps))
+            cols.append(terms)
+        if not all(map(all, cols)):  # a row's first zero term ends the chunk
+            del cols[next(j for j, col in enumerate(cols) if not all(col)) + 1 :]
+            terms = cols[-1]
+        k = first + len(cols)
+        for w in active:  # each row adds the chunk to each sum with one builtin sum
+            vals = values[w]
+            if vals is not None:
+                cols_w = map(map, repeat(operator.mul), cols, map(repeat, vals[first + 1 : k + 1]))
+            sums[w] = list(map(sum, zip(sums[w], *(cols if vals is None else cols_w))))
+        if k < k_min or k == end:
+            continue
+        every = k % _CHUNK == 0 or k == cap
+        at_k = walk.checkpoint(k)
         done = False  # a row's last sum stops here
-        turned = every  # and every live row is past its turn
         for r, term in enumerate(terms):
-            t_bits = term.bit_length()
-            if not (every or not term or t_bits > limits[r] or caps[r] == k):
+            if not (every or not term):
                 continue
-            cut = t_bits - row_bits[r] - _GUARD_BITS
-            if cut > _GUARD_BITS:  # a unit 2^cut times coarser
-                shifts[r] += cut
-                rescales[r] += 1
-                terms[r] = term = term >> cut
-                t_bits = term.bit_length()
-                peaks[r] >>= cut
-                for s in sums:
-                    s[r] >>= cut
-                if floors is not None:  # the term's floor and each sum's add a unit each
-                    e, f = _floors_at(floors, k)
-                    floors = (k, math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0)
-            if not test:
-                turned = False
-                continue
-            # every later base ratio |t_{j+1}/t_j|, j >= k, is at most p0/q0
-            p0 = mzps[r] * ma_k
-            q0 = b_k << exps[r]
-            if p0 >= q0:
-                turned = False
-                continue
-            if at_k is None:
-                at_k = [(1, 1, reject_bits) if v is None else (v[k], v[k + 1], v[k].bit_length() + reject_bits) for v in values]
-            for stop, s, v, (wk, wk1, shared_bits) in zip(stops, sums, values, at_k):
-                if stop[r] is not None:
-                    continue
-                p = p0 * wk1
-                d = q0 * wk - p
-                if d <= 0:  # this sum's terms t_j W(j) may still rise
-                    continue
-                total = s[r]
-                if term and t_bits + shared_bits + p.bit_length() >= total.bit_length() + d.bit_length():
-                    continue
-                mag = abs(term) * wk
-                if mag * p * tol_q <= tol_p * abs(total) * d:
-                    stop[r] = (total, k + 1, (mag, p, d), v)
+            totals = [None if stop[r] else s[r] for stop, s in zip(stops, sums)]
+            found = _stops(at_k, -mzps[r], exps[r], term, totals)
+            for stop, total, new, v in zip(stops, totals, found or (), values):
+                if new:
+                    stop[r] = (total, k + 1, new, v)
                     opens[r] -= 1
             if not opens[r]:
                 done = True
-                yield rows[r], row_bits[r], shifts[r], rescales[r], floors, [stop[r] for stop in stops]
-        if turned:
-            rising = False
+                yield rows[r], row_bits[r], [stop[r] for stop in stops]
         if done:  # the rows whose last sum stopped leave
             if not any(opens):
                 break
             keep = opens
-            rows, row_bits, shifts, rescales, caps, terms, mzps, exps, limits, peaks, opens = (
-                list(compress(col, keep))
-                for col in (rows, row_bits, shifts, rescales, caps, terms, mzps, exps, limits, peaks, opens)
+            rows, row_bits, terms, mzps, exps, opens = (
+                list(compress(col, keep)) for col in (rows, row_bits, terms, mzps, exps, opens)
             )
             sums, stops = ([list(compress(col, keep)) for col in cols] for cols in (sums, stops))
             active = [w for w in active if None in stops[w]]
-
-    # one assignment each: readers see the old memo or the new one
-    if len(ratio_nums) > len(base._ratios[0]):
-        object.__setattr__(base, "_ratios", (ratio_nums, ratio_dens))
-    if extended:
-        memo = base._weights
-        grown = {f: v for f, v in zip(weights, values) if v and len(v) > len(memo.get(f, ()))}
-        object.__setattr__(base, "_weights", {**memo, **grown})
-
-
-def _floors_at(floors: tuple, k: int) -> tuple:
-    """(e, f) at step k of a one-row walk's floor-error state (k_s, e, f), k >= k_s.
-
-    In units, e bounds the error of the walk's t_k and f the sum of those
-    bounds over t_1 .. t_k, with the sums' rescale floors.  The walk steps
-    them up to k_s, its turn or last rescale; past the turn every term ratio
-    is below 1, so each step adds at most one unit to e.
-    """
-    k_s, e, f = floors
-    n = k - k_s
-    if n:
-        f += n * e + n * (n + 1) / 2
-        e += n
-    return e, f
+    walk.publish()
 
 
 def _result(bits: int, shift: int, floors: tuple, st: tuple) -> tuple:
-    """(value, abs_error_estimate, terms_used) of one sum of a row of ``_walk``."""
+    """(value, abs_error_estimate, terms_used) of one sum of ``_row_walk``."""
     total, terms, stop, values = st
     scale = (1 if values is None else values[0]) << bits
     exact = total << shift
     value = exact / scale  # int / int: one correct rounding to double
-    e, f = _floors_at(floors, terms - 1)
+    k_s, e, f = floors
+    n = terms - 1 - k_s
+    if n:  # past the turn every term ratio is below 1: each step adds at most one unit to e
+        f += n * e + n * (n + 1) / 2
+        e += n
     # e and f took under 20 roundings to nearest per term, each of a positive
     # quantity by a factor within 1 +- 2^-53: the slack covers them
     slack = 1.0 + terms * 2.0**-46
@@ -509,18 +506,15 @@ def eval_contiguous(
     numerator is a nonpositive integer -m, or z_sq = 0, ends exactly at t_m.
 
     The shift starts at 0.  A base term wider than bits + 2G bits, G =
-    ``_GUARD_BITS``, ends its chunk; once the live sums have added it, the
-    term and each live sum are shifted right until the term is bits + G bits
+    ``_GUARD_BITS``, ends its chunk; once the open sums have added it, the
+    term and each open sum are shifted right until the term is bits + G bits
     wide, and the shift grows by as much.  Past the turn (rho < 1 for the
-    base) no term is wider than the one before it, so no rescale comes.
+    base) no term is wider than the one before it, so no rescale comes.  The
+    walk keeps its state in scalar locals, one per quantity and weight.
 
-    ``contiguous_values`` runs the same walk for a block of arguments in
-    lockstep: a term step is one ``map`` pass over the rows still live, and a
-    chunk ends where any row has a checkpoint, but a row runs the stop test
-    and the rescale only at its own checkpoints and leaves the block once its
-    last sum stops, so it gets the integers of its walk alone.  The block
-    tests a chunk once, on its terms and peaks, and steps it again, testing
-    each step, only where a row's term hit 0 or outgrew its limit.
+    ``contiguous_values`` walks a block of arguments at z <= ``RESCALE_FREE_Z``
+    in lockstep.  No rescale comes there, and a chunk ends at any row's first
+    zero term, but each row tests its stop only at its own checkpoints.
 
     ``abs_error_estimate`` is the certified tail plus rounding.  A term step
     floors below one unit, and later steps scale that error with the terms,
@@ -530,7 +524,7 @@ def eval_contiguous(
     + 1 (in doubles, the ratio rounded from its exact integers) and their sum
     f, up to the turn; past it every ratio is below 1, so each step adds at
     most one unit to e.  A rescale by 2^-cut takes e to e 2^-cut + 1 and f to
-    f 2^-cut + 1, the floors of the term and of each live sum.  The estimate
+    f 2^-cut + 1, the floors of the term and of each open sum.  The estimate
     charges f W(N) units for the terms, N = terms_used - 1 (W is
     nondecreasing), and the tail (|t_N W(N)| + e_N W(N)) P / (Q - P); the
     doubles' roundings stay within a slack of 1 + terms_used 2^-46 on e and
@@ -545,7 +539,7 @@ def eval_contiguous(
     check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
-    ((_, bits, shift, _, floors, sums),) = _walk(base, weights, (z_sq,), target_rel_err, bits, True)
+    bits, shift, floors, sums = _row_walk(base, weights, z_sq, target_rel_err, bits)
     return [EvalResult(*_result(bits, shift, floors, st), bits) for st in sums]
 
 
@@ -554,11 +548,16 @@ def contiguous_values(
 ) -> List[List[float]]:
     """The values alone of ``eval_contiguous`` at each z_sq of ``z_sqs``, from
     one lockstep walk, for a caller that has checked every z_sq and
-    target_rel_err.  Each row equals the row of a walk at its z_sq alone."""
+    target_rel_err.  Each row equals the row of a walk at its z_sq alone, for
+    a base whose terms stay below e^(2z), as the eigenvalue series' do: the
+    block walk does not coarsen its unit, and so it raises ``ValueError`` if
+    a z_sq exceeds ``RESCALE_FREE_Z``^2."""
+    if any(z_sq > RESCALE_FREE_Z**2 for z_sq in z_sqs):
+        raise ValueError(f"contiguous_values takes z_sq <= RESCALE_FREE_Z**2, got {max(z_sqs)}")
     w0s = [_at(1, factors, 0) for factors in weights]
     rows = [None] * len(z_sqs)
-    for i, bits, shift, _, _, sums in _walk(base, weights, z_sqs, target_rel_err, None):
-        rows[i] = [(st[0] << shift) / (w0 << bits) for st, w0 in zip(sums, w0s)]
+    for i, bits, sums in _block_walk(base, weights, z_sqs, target_rel_err):
+        rows[i] = [st[0] / (w0 << bits) for st, w0 in zip(sums, w0s)]
     return rows
 
 

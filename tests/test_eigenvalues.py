@@ -24,7 +24,16 @@ from perispec.eigenvalues import (
     navier_eigenvalues,
     z_of,
 )
-from perispec.hyper import HypergeometricSeries, PrecisionExhaustedError, _walk, eval_contiguous, eval_pfq
+from perispec.hyper import (
+    RESCALE_FREE_Z,
+    HypergeometricSeries,
+    PrecisionExhaustedError,
+    _block_walk,
+    _row_walk,
+    contiguous_values,
+    eval_contiguous,
+    eval_pfq,
+)
 from test_hyper import bruteforce_pfq
 
 
@@ -455,28 +464,63 @@ def block_grids(draw):
     return params_for(n, beta, delta, lambda_star=lambda_star), grid, draw(st.sampled_from([1e-15, 1e-10, 1e-3]))
 
 
+def row_sums(plan, z, tol):
+    """The values of ``plan``'s sums at one z, from the walk at z alone."""
+    return [res.value for res in eval_contiguous(plan.transverse, plan.weights, z * z, tol)]
+
+
+#: A grid of 60 rows up to z = 70 with one row at exactly z = RESCALE_FREE_Z (delta = 1).
+EDGE_GRID = [0.0, 1e-120, 2.0 * RESCALE_FREE_Z] + [70.0 * k / 30 for k in range(1, 61)]
+
+
 class TestBlockWalk:
     @given(case=block_grids())
+    @example(case=(params_for(3, 2.0), EDGE_GRID, 1e-10))
+    @example(case=(params_for(8, -4.0, lambda_star=1.0), EDGE_GRID, 1e-15))
     @settings(max_examples=20, deadline=None)
     def test_rows_equal_single_row_walks(self, case):
-        # eval_spectrum walks its series rows in lockstep blocks; every row must
-        # carry the bits of the walk at its wavenumber alone
+        # eval_spectrum walks its series rows at z <= RESCALE_FREE_Z in lockstep
+        # blocks and the later ones alone; every row must carry the bits of the
+        # walk at its wavenumber alone
         params, grid, tol = case
         plan = _Plan(params)
         for row in eval_spectrum(params, grid, math.inf, tol):
             if row.nu_norm == 0.0:
                 continue
             got = (row.lambda2, row.lambda11, row.lambda12)
-            want = plan.parts(row.nu_norm, z_of(params, row.nu_norm), tol)
+            want = plan.combine(row.nu_norm, *row_sums(plan, z_of(params, row.nu_norm), tol))
             assert list(map(float.hex, got)) == list(map(float.hex, want)), row.nu_norm
-        # and so must its integers: unit, rescales, sums, terms and stops
-        z_sqs = [z_of(params, nu) ** 2 for nu in grid if nu != 0.0]
-        block = sorted(_walk(plan.transverse, plan.weights, z_sqs, tol, None), key=lambda row: row[0])
-        for (i, *got), z_sq in zip(block, z_sqs):
-            ((_, *want),) = _walk(plan.transverse, plan.weights, [z_sq], tol, None)
-            assert got == want, z_sq
-        if params.beta <= params.n + 1:  # the case covers rows that rescale
-            assert any(row[3] for row in block)
+        # and so must the integers of the block's rows: unit, sums, terms and stops
+        zs = [z_of(params, nu) for nu in grid if nu != 0.0]
+        z_sqs = [z * z for z in zs if z <= RESCALE_FREE_Z]
+        for i, bits, got in _block_walk(plan.transverse, plan.weights, z_sqs, tol):
+            want_bits, shift, _, want = _row_walk(plan.transverse, plan.weights, z_sqs[i], tol, None)
+            assert (bits, [st[:3] for st in got]) == (want_bits, [st[:3] for st in want]), z_sqs[i]
+            assert shift == 0
+        if params.beta <= params.n + 1:  # the lone rows past RESCALE_FREE_Z include rows that rescale
+            lone = [z * z for z in zs if z > RESCALE_FREE_Z]
+            assert any(_row_walk(plan.transverse, plan.weights, z_sq, tol, None)[1] for z_sq in lone)
+
+    def test_block_refuses_rows_past_rescale_free_z(self):
+        plan = _Plan(params_for(3, 2.0))
+        z_sq = math.nextafter(RESCALE_FREE_Z**2, math.inf)
+        assert contiguous_values(plan.transverse, plan.weights, [RESCALE_FREE_Z**2], 1e-10) == [
+            row_sums(plan, RESCALE_FREE_Z, 1e-10)
+        ]
+        with pytest.raises(ValueError, match="RESCALE_FREE_Z"):
+            contiguous_values(plan.transverse, plan.weights, [1.0, z_sq], 1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_walks_up_to_rescale_free_z_never_rescale(self, n):
+        # the block walk has no rescale: every eigenvalue walk up to RESCALE_FREE_Z
+        # keeps its first unit, near the edge and at beta near n+2 too
+        betas = list(np.linspace(-4.0, n + 2.0, 13)) + [n, n + 1.0, n + 2.0 - 1e-12]
+        for beta in betas:
+            for lambda_star in (1.0, 2.5):  # 1.0 = mu: no coupling series
+                plan = _Plan(params_for(n, float(beta), lambda_star=lambda_star))
+                for z in (RESCALE_FREE_Z, math.nextafter(RESCALE_FREE_Z, 0.0), 44.0):
+                    shift = _row_walk(plan.transverse, plan.weights, z * z, 1e-15, None)[1]
+                    assert shift == 0, (beta, lambda_star, z)
 
 
 def mpmath_parts(params, nu):
