@@ -20,10 +20,8 @@ the two polynomials (2k+3) and (k+1)(b+k) as stated here.
 
 ``eval_spectrum`` takes the series up to ``z_switch`` and the closed-form
 asymptotics beyond; ``z_switch = math.inf`` keeps every point on the series.
-Its series rows at z <= ``hyper.RESCALE_FREE_Z`` (44.36), where no walk
-coarsens its unit, go in lockstep blocks of ``_BLOCK_ROWS`` (the block walk,
-``hyper.contiguous_values``), and every later row, like a single point, takes
-the one-row walk (``hyper.eval_contiguous``); each row gets the bits of its own.
+It hands all its series rows to ``hyper.contiguous_values``, which picks each
+row's walk, so each row gets the bits of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .asymptotics import AsymptoticForms
 from .hyper import (
     DOUBLE_BITS,
-    RESCALE_FREE_Z,
     EvalResult,
     HypergeometricSeries,
     check_target_rel_err,
@@ -46,12 +43,6 @@ from .material import DerivedParams, MaterialParams, check_nu_norms, derive, z_o
 
 DEFAULT_TOL = 1e-10
 DEFAULT_Z_SWITCH = 20.0
-
-#: Series rows ``eval_spectrum`` walks in lockstep, each at z <= ``RESCALE_FREE_Z``:
-#: enough to spread the interpreter's work per term step, few enough to keep the
-#: walk's state small.  The block walk never coarsens its unit, so a row past that
-#: z walks alone.
-_BLOCK_ROWS = 48
 
 
 class SpectrumSample(NamedTuple):
@@ -111,23 +102,15 @@ class _Plan:
         return p2 * s2, p11 * s11, 0.0 if s12 is None else p12 * s12 * s12
 
     def sample(self, row: tuple, sums: Sequence[float]) -> SpectrumSample:
-        """A series row (index into the samples, nu, z, asym1, asym2, branch)
+        """A series row (index into the samples, nu, asym1, asym2, branch)
         from the sums of ``weights`` at its z; ``OverflowError`` if lambda1
         or lambda2 is not finite."""
-        _, nu, _, asym1, asym2, branch = row
+        _, nu, asym1, asym2, branch = row
         l2, l11, l12 = self.combine(nu, *sums)
         l1 = l11 + l12
         if not (isfinite(l1) and isfinite(l2)):
             raise OverflowError(f"series eigenvalues not finite at nu_norm = {nu!r}")
         return SpectrumSample(nu, l1, l2, l11, l12, asym1, asym2, "series", branch)
-
-    def fill(self, samples: list, pending: list, tol: float) -> None:
-        """Put each ``pending`` row's sample in its place in ``samples``, the sums
-        from one lockstep walk (``hyper.contiguous_values``), and empty ``pending``."""
-        block = contiguous_values(self.transverse, self.weights, [row[2] * row[2] for row in pending], tol)
-        for row, sums in zip(pending, block):
-            samples[row[0]] = self.sample(row, sums)
-        pending.clear()
 
 
 def transverse_series(params: MaterialParams) -> HypergeometricSeries:
@@ -198,10 +181,12 @@ def eval_spectrum(
     asymptotic constants) is done once for the whole grid.  The grid,
     ``z_switch`` and ``tol`` are checked up front, the last two even when no
     row uses them.  A row whose lambda1 or lambda2 is not finite raises
-    ``OverflowError`` naming its wavenumber.  The series rows at z <=
-    ``RESCALE_FREE_Z`` are walked in blocks and every later one alone (same
-    values either way), and the first row in grid order that fails names the
-    error: a lone row's error waits for the pending block's.
+    ``OverflowError`` naming its wavenumber, and the first such row in grid
+    order names the error.  So a first pass fills the asymptotic and zero rows
+    and lists the series rows, up to the first asymptotic row that is not
+    finite; the second walks the listed rows (``hyper.contiguous_values``
+    picks each one's walk, with the same values either way) and then raises
+    the asymptotic row's error.
     """
     if not (z_switch > 0):
         raise ValueError(f"z_switch must be > 0, got {z_switch}")
@@ -213,7 +198,8 @@ def eval_spectrum(
     half_delta = 0.5 * params.delta  # z = half_delta * nu is z_of's double
     subcritical = params.beta < params.n + 2
     samples = []
-    pending = []  # series rows whose samples wait, as None, for their block's walk
+    rows, z_sqs = [], []  # the series rows, whose samples wait as None, and their z^2
+    error = None
     for nu in nus:
         z = half_delta * nu
         if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
@@ -225,8 +211,8 @@ def eval_spectrum(
             l1 = l11 + l12
             if z > z_switch:
                 if not (isfinite(l1) and isfinite(l2)):  # a non-finite part makes l1 non-finite
-                    plan.fill(samples, pending, tol)  # an earlier row's error comes first
-                    raise OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
+                    error = OverflowError(f"asymptotic forms not finite at nu_norm = {nu!r}")
+                    break  # raised once the series rows before it are summed
                 samples.append(SpectrumSample(nu, l1, l2, l11, l12, l1, l2, "asymptotic", forms.branch))
                 continue
             # a companion is only a large-z form: a series row leaves one that is not finite absent
@@ -239,19 +225,11 @@ def eval_spectrum(
         if nu == 0.0:
             samples.append(SpectrumSample(nu, 0.0, 0.0, 0.0, 0.0, asym1, asym2, "series", branch))
             continue
-        row = (len(samples), nu, z, asym1, asym2, branch)
-        if z > RESCALE_FREE_Z:  # past the blocks' range: the row walks alone
-            try:
-                sums = [res.value for res in eval_contiguous(plan.transverse, plan.weights, z * z, tol)]
-                samples.append(plan.sample(row, sums))
-            except ArithmeticError:
-                plan.fill(samples, pending, tol)  # an earlier row's error comes first
-                raise
-            continue
+        rows.append((len(samples), nu, asym1, asym2, branch))
+        z_sqs.append(z * z)
         samples.append(None)
-        pending.append(row)
-        if len(pending) == _BLOCK_ROWS:
-            plan.fill(samples, pending, tol)
-    if pending:
-        plan.fill(samples, pending, tol)
+    for row, sums in zip(rows, contiguous_values(plan.transverse, plan.weights, z_sqs, tol)):
+        samples[row[0]] = plan.sample(row, sums)
+    if error is not None:
+        raise error
     return samples

@@ -22,12 +22,14 @@ term is t_k (k+1)(b+k)/b.  ``eval_pfq`` is its one-weight case, W = 1.  There
 are two walks, which share one stop test (``_stops``).  A single point walks
 alone, its state in scalar locals (``_row_walk``): the only walk that coarsens
 its unit, it carries the floor-error bound the estimate needs.
-``contiguous_values`` gives the values alone at a block of arguments, each at
-z <= ``RESCALE_FREE_Z`` (44.36), where no walk coarsens (``_block_walk``): a
-term step is one builtin ``map`` pass over the live rows, and each row keeps
-its own checkpoints, so its integers are those of its walk alone.  The
+``contiguous_values`` gives the values alone at many arguments and picks each
+one's walk: rows at z <= ``RESCALE_FREE_Z`` (44.36), where no walk coarsens,
+go in lockstep blocks (``_block_walk``: a term step is one builtin ``map`` pass
+over the live rows, and each row keeps its own checkpoints, so its integers
+are those of its walk alone), and every other row walks alone.  The
 z-independent term ratios and weight values are memoised on the base series
-(not process-wide) up to the highest term any sum reached.
+(not process-wide) up to the highest term any sum reached; the walks grow
+those lists in place, appending only, under one lock.
 ``eval_pfq_float64`` is the deliberately naive double-precision summation
 kept to demonstrate (and regression-test) why the fixed-point path exists.
 """
@@ -37,8 +39,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
@@ -67,6 +70,13 @@ _LOG2_E = math.log2(math.e)
 #: Terms bounded by e^(2z), as the eigenvalue series' are, never reach the coarsening
 #: width while 2 z log2(e) <= 2 _GUARD_BITS: a walk at z up to this (44.36) never rescales.
 RESCALE_FREE_Z = _GUARD_BITS / _LOG2_E
+
+#: Rows ``contiguous_values`` walks in lockstep: enough to spread the interpreter's
+#: work per term step, few enough to keep the walk's state small.
+_BLOCK_ROWS = 48
+
+#: Guards the growth of every series' memos: one lock for all, so a series still pickles.
+_MEMO_LOCK = threading.Lock()
 
 _REL_ERR_RANGE = (1e-15, 1e-2)
 
@@ -108,7 +118,7 @@ class HypergeometricSeries:
     Outside its two fields, and so outside equality and hashing, the object
     keeps its term ratios' integer factors, in lowest structural terms (no
     factor on both sides, coprime scales), and the memos of z-independent
-    term ratios and weight values that ``eval_contiguous`` fills.
+    term ratios and weight values that the walks grow in place (``_Walk``).
     """
 
     numerator_params: tuple
@@ -204,12 +214,13 @@ def _at(scale: int, factors: tuple, k: int) -> int:
 
 class _Walk:
     """What a walk's rows share: the stop's budget target_rel_err / 2^_BUDGET_SHIFT
-    as tol_p / tol_q, and private copies of the base's memos, extended as it goes
-    and published at its end: per weight [W(0), W(1), ...] (None for W = 1) and
-    the term ratios [num_k], [den_k], t_{k+1}/t_k = -z_sq num_k / den_k.  With
-    each parameter a = p/q exactly, num_k = prod q_b prod(p_a + k q_a) and den_k
-    = prod q_a (k+1) prod(p_b + k q_b), less the factors on both sides and the
-    scales' gcd."""
+    as tol_p / tol_q, and the base's memos themselves: per weight [W(0), W(1),
+    ...] (None for W = 1) and the term ratios [num_k], [den_k], t_{k+1}/t_k =
+    -z_sq num_k / den_k.  With each parameter a = p/q exactly, num_k = prod q_b
+    prod(p_a + k q_a) and den_k = prod q_a (k+1) prod(p_b + k q_b), less the
+    factors on both sides and the scales' gcd.  A walk grows the memos in place
+    under ``_MEMO_LOCK``, appending only, and reads each below the length it
+    has grown it to, so walks on one series in other threads never disturb it."""
 
     def __init__(self, base: HypergeometricSeries, weights: Sequence[tuple], target_rel_err: float):
         self.base, self.weights = base, weights
@@ -217,19 +228,23 @@ class _Walk:
         self.tol_q = tol_q << _BUDGET_SHIFT
         # |t W| P tol_q > tol_p |S| (Q - P) holds whenever a bit-length sum reaches this
         self.reject_bits = self.tol_q.bit_length() - self.tol_p.bit_length() - 4
-        self.nums, self.dens = map(list, base._ratios)
+        self.nums, self.dens = base._ratios
         memo = base._weights
-        self.values = [list(memo.get(f) or [_at(1, f, 0)]) if f else None for f in weights]
+        with _MEMO_LOCK:  # a weight's memo starts at W(0)
+            self.values = [memo.setdefault(f, [_at(1, f, 0)]) if f else None for f in weights]
 
     def grow(self, last: int) -> None:
-        """Extend the copies to num_k, den_k for k < last and W(k) for k < last + 2."""
-        nums, dens, num_scale, den_scale = self.base._integer_params
-        if len(self.nums) < last:
-            self.nums += _products(num_scale, nums, len(self.nums), last)
-            self.dens += _products(den_scale, dens, len(self.dens), last)
+        """Extend the memos to num_k, den_k for k < last and W(k) for k < last + 2.
+        The ratios' fast test reads ``dens``, the list the lock extends last."""
+        if len(self.dens) < last:
+            nums, dens, num_scale, den_scale = self.base._integer_params
+            with _MEMO_LOCK:  # another walk may have grown them since: start at the length now
+                self.nums += _products(num_scale, nums, len(self.nums), last)
+                self.dens += _products(den_scale, dens, len(self.dens), last)
         for factors, vals in zip(self.weights, self.values):
             if vals is not None and len(vals) < last + 2:
-                vals += _products(1, factors, len(vals), last + 2)
+                with _MEMO_LOCK:
+                    vals += _products(1, factors, len(vals), last + 2)
 
     def checkpoint(self, k: int) -> tuple:
         """What the stop tests at step k share: A_k and B_k (``_tail_bound``),
@@ -240,16 +255,6 @@ class _Walk:
         return _at(a_scale, a_factors, k), _at(b_scale, b_factors, k), self.tol_p, self.tol_q, [
             (1, 1, shared) if v is None else (v[k], v[k + 1], v[k].bit_length() + shared) for v in self.values
         ]
-
-    def publish(self) -> None:
-        """Give the base the longer copies, one assignment each: readers see the old memo or the new one."""
-        base = self.base
-        if len(self.nums) > len(base._ratios[0]):
-            object.__setattr__(base, "_ratios", (self.nums, self.dens))
-        memo = base._weights
-        grown = {f: v for f, v in zip(self.weights, self.values) if v and len(v) > len(memo.get(f, ()))}
-        if grown:
-            object.__setattr__(base, "_weights", {**memo, **grown})
 
 
 def _stops(at_k: tuple, zp: int, exp: int, term: int, totals: list) -> Optional[list]:
@@ -352,7 +357,6 @@ def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
                 if stop:
                     sums[w] = (totals[w], k + 1, stop, values[w])
                     totals[w] = None
-    walk.publish()
     return bits, shift, (k_s, e, f), sums
 
 
@@ -439,7 +443,6 @@ def _block_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Seq
             )
             sums, stops = ([list(compress(col, keep)) for col in cols] for cols in (sums, stops))
             active = [w for w in active if None in stops[w]]
-    walk.publish()
 
 
 def _result(bits: int, shift: int, floors: tuple, st: tuple) -> tuple:
@@ -512,9 +515,10 @@ def eval_contiguous(
     base) no term is wider than the one before it, so no rescale comes.  The
     walk keeps its state in scalar locals, one per quantity and weight.
 
-    ``contiguous_values`` walks a block of arguments at z <= ``RESCALE_FREE_Z``
-    in lockstep.  No rescale comes there, and a chunk ends at any row's first
-    zero term, but each row tests its stop only at its own checkpoints.
+    ``contiguous_values`` picks the walk of each of many arguments: it walks
+    those at z <= ``RESCALE_FREE_Z`` in lockstep blocks, where no rescale
+    comes, and a chunk ends at any row's first zero term, but each row tests
+    its stop only at its own checkpoints; every other argument walks alone.
 
     ``abs_error_estimate`` is the certified tail plus rounding.  A term step
     floors below one unit, and later steps scale that error with the terms,
@@ -545,20 +549,29 @@ def eval_contiguous(
 
 def contiguous_values(
     base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float], target_rel_err: float
-) -> List[List[float]]:
-    """The values alone of ``eval_contiguous`` at each z_sq of ``z_sqs``, from
-    one lockstep walk, for a caller that has checked every z_sq and
-    target_rel_err.  Each row equals the row of a walk at its z_sq alone, for
-    a base whose terms stay below e^(2z), as the eigenvalue series' do: the
-    block walk does not coarsen its unit, and so it raises ``ValueError`` if
-    a z_sq exceeds ``RESCALE_FREE_Z``^2."""
-    if any(z_sq > RESCALE_FREE_Z**2 for z_sq in z_sqs):
-        raise ValueError(f"contiguous_values takes z_sq <= RESCALE_FREE_Z**2, got {max(z_sqs)}")
+) -> Iterator[List[float]]:
+    """The values alone of ``eval_contiguous`` at each z_sq of ``z_sqs``, yielded
+    in their order, for a caller that has checked every z_sq and target_rel_err.
+    Each run of arguments at z <= ``RESCALE_FREE_Z`` goes in lockstep blocks of
+    ``_BLOCK_ROWS``, and every other argument walks alone, without the error
+    arithmetic of ``_result``; a lone row is walked once the rows before it are
+    yielded, so the first row that fails raises first.  Each row equals the row
+    of a walk at its z_sq alone, for a base whose terms stay below e^(2z), as
+    the eigenvalue series' do: the block walk does not coarsen its unit."""
     w0s = [_at(1, factors, 0) for factors in weights]
-    rows = [None] * len(z_sqs)
-    for i, bits, sums in _block_walk(base, weights, z_sqs, target_rel_err):
-        rows[i] = [st[0] / (w0 << bits) for st, w0 in zip(sums, w0s)]
-    return rows
+    for small, run in groupby(z_sqs, lambda z_sq: z_sq <= RESCALE_FREE_Z**2):
+        if not small:
+            for z_sq in run:
+                bits, shift, _, sums = _row_walk(base, weights, z_sq, target_rel_err, None)
+                yield [(st[0] << shift) / (w0 << bits) for st, w0 in zip(sums, w0s)]
+            continue
+        run = list(run)
+        for start in range(0, len(run), _BLOCK_ROWS):
+            block = run[start : start + _BLOCK_ROWS]
+            rows = [None] * len(block)
+            for i, bits, sums in _block_walk(base, weights, block, target_rel_err):
+                rows[i] = [st[0] / (w0 << bits) for st, w0 in zip(sums, w0s)]
+            yield from rows
 
 
 def eval_pfq(

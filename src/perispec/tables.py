@@ -33,8 +33,8 @@ def wavenumber_grid(nu_min: float, nu_max: float, points: int) -> List[float]:
     ``numpy.linspace``: nu_min + i*step, with the last one exactly nu_max."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
-    if not (0.0 <= nu_min <= nu_max):
-        raise ValueError(f"need 0 <= nu_min <= nu_max, got [{nu_min}, {nu_max}]")
+    if not (0.0 <= nu_min <= nu_max < math.inf):
+        raise ValueError(f"need finite 0 <= nu_min <= nu_max, got [{nu_min}, {nu_max}]")
     nu_min, nu_max = float(nu_min), float(nu_max)
     span = nu_max - nu_min
     div = points - 1

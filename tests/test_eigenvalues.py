@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from perispec.asymptotics import AsymptoticForms, asym_lambda2
 from perispec.eigenvalues import (
-    _BLOCK_ROWS,
     MaterialParams,
     _Plan,
     derive,
@@ -25,6 +24,7 @@ from perispec.eigenvalues import (
     z_of,
 )
 from perispec.hyper import (
+    _BLOCK_ROWS,
     RESCALE_FREE_Z,
     HypergeometricSeries,
     PrecisionExhaustedError,
@@ -316,11 +316,16 @@ class TestEvalSpectrum:
             eval_spectrum(params, [0.0, nu])
 
     def test_first_bad_row_names_the_error(self):
-        # the z = 2 row waits in a block while the z = 150 row walks alone and
-        # fails first; the error still names the earlier row
-        params = params_for(3, 5.0, mu=1e308)
-        with pytest.raises(OverflowError, match=re.escape("nu_norm = 2.0")):
-            eval_spectrum(params, [2.0, 300.0], math.inf)
+        # the z = 1 row's series overflows; a later row that fails too, whether
+        # a lone series row or an asymptotic row, must not name the error
+        cases = [
+            (params_for(3, 5.0, mu=1e308), [2.0, 300.0], math.inf),  # z = 150: its series overflows
+            (params_for(3, 5.0, mu=1e308), [2.0, 1e6], math.inf),  # z = 5e5: past MAX_PRECISION_BITS
+            (params_for(3, 4.9, mu=1e308), [2.0, 1e10], 20.0),  # the default switch: forms not finite
+        ]
+        for params, grid, z_switch in cases:
+            with pytest.raises(OverflowError, match=re.escape("nu_norm = 2.0")):
+                eval_spectrum(params, grid, z_switch)
 
     def test_series_row_with_only_asym1_overflowing(self):
         # the companion is a large-z form; a series row leaves it absent instead of failing
@@ -501,14 +506,16 @@ class TestBlockWalk:
             lone = [z * z for z in zs if z > RESCALE_FREE_Z]
             assert any(_row_walk(plan.transverse, plan.weights, z_sq, tol, None)[1] for z_sq in lone)
 
-    def test_block_refuses_rows_past_rescale_free_z(self):
+    def test_rows_past_rescale_free_z_walk_alone(self):
+        # contiguous_values blocks rows up to RESCALE_FREE_Z**2 and walks a later
+        # one alone, between two block rows, each with the values of its walk alone
         plan = _Plan(params_for(3, 2.0))
-        z_sq = math.nextafter(RESCALE_FREE_Z**2, math.inf)
-        assert contiguous_values(plan.transverse, plan.weights, [RESCALE_FREE_Z**2], 1e-10) == [
+        assert list(contiguous_values(plan.transverse, plan.weights, [RESCALE_FREE_Z**2], 1e-10)) == [
             row_sums(plan, RESCALE_FREE_Z, 1e-10)
         ]
-        with pytest.raises(ValueError, match="RESCALE_FREE_Z"):
-            contiguous_values(plan.transverse, plan.weights, [1.0, z_sq], 1e-10)
+        z_sqs = [1.0, math.nextafter(RESCALE_FREE_Z**2, math.inf), 4.0]
+        want = [[res.value for res in eval_contiguous(plan.transverse, plan.weights, z_sq, 1e-10)] for z_sq in z_sqs]
+        assert list(contiguous_values(plan.transverse, plan.weights, z_sqs, 1e-10)) == want
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_walks_up_to_rescale_free_z_never_rescale(self, n):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,7 +41,7 @@ class TestWavenumberGrid:
         assert wavenumber_grid(0, 2, 3) == [0.0, 1.0, 2.0]
         assert all(type(v) is float for v in wavenumber_grid(0, 2, 3))
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 0), (2.0, 1.0, 3), (-1.0, 1.0, 3)])
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 0), (2.0, 1.0, 3), (-1.0, 1.0, 3), (0.0, math.inf, 3)])
     def test_rejects_invalid(self, args):
         with pytest.raises(ValueError):
             wavenumber_grid(*args)
