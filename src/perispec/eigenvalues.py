@@ -71,9 +71,7 @@ class SpectrumSample(NamedTuple):
 class _Plan:
     """The z-independent work of one material, done once for any number of
     wavenumbers: ``derive``, the transverse series and the weights of the
-    other two series, then the asymptotic constants on first use.  The series
-    keeps its memos of term ratios and weight values, so every wavenumber
-    evaluated through one plan reuses what the earlier ones computed."""
+    other two series, then the asymptotic constants on first use."""
 
     def __init__(self, params: MaterialParams):
         self.params = params
@@ -203,10 +201,10 @@ def eval_spectrum(
     for nu in nus:
         z = half_delta * nu
         if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
-            forms = plan.forms  # built at the first z > 0
             try:
+                forms = plan.forms  # built at the first z > 0
                 l11, l12, l2 = forms.parts(z)
-            except OverflowError:  # z ** negative at a tiny z
+            except OverflowError:  # z ** negative at a tiny z, or a gamma of the forms at beta far below n
                 l11 = l12 = l2 = inf
             l1 = l11 + l12
             if z > z_switch:

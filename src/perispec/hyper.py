@@ -19,17 +19,17 @@ t_k W(k) / W(0) for each weight the caller states, W(k) a product of integer
 linear factors: with t_k the term of 2F3(1, a; 2, b+1, a+1), the
 3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is t_k (2k+3)/3 and the 1F2(a; b, a+1)
 term is t_k (k+1)(b+k)/b.  ``eval_pfq`` is its one-weight case, W = 1.  There
-are two walks, which share one stop test (``_stops``).  A single point walks
-alone, its state in scalar locals (``_row_walk``): the only walk that coarsens
-its unit, it carries the floor-error bound the estimate needs.
+are two walks, which share one stop test (``_stops``) and the state of one
+call (``_Walk``).  A single point walks alone, its state in scalar locals
+(``_row_walk``): the only walk that coarsens its unit, it carries the
+floor-error bound the estimate needs.
 ``contiguous_values`` gives the values alone at many arguments and picks each
 one's walk: rows at z <= ``RESCALE_FREE_Z`` (44.36), where no walk coarsens,
 go in lockstep blocks (``_block_walk``: a term step is one builtin ``map`` pass
 over the live rows, and each row keeps its own checkpoints, so its integers
-are those of its walk alone), and every other row walks alone.  The
-z-independent term ratios and weight values are memoised on the base series
-(not process-wide) up to the highest term any sum reached; the walks grow
-those lists in place, appending only, under one lock.
+are those of its walk alone), and every other row walks alone.  Each call
+memoises the z-independent term ratios and weight values up to the highest
+term any of its sums reached; a series keeps no state after it is built.
 ``eval_pfq_float64`` is the deliberately naive double-precision summation
 kept to demonstrate (and regression-test) why the fixed-point path exists.
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from itertools import compress, groupby, repeat
 from operator import itemgetter
@@ -74,9 +73,6 @@ RESCALE_FREE_Z = _GUARD_BITS / _LOG2_E
 #: Rows ``contiguous_values`` walks in lockstep: enough to spread the interpreter's
 #: work per term step, few enough to keep the walk's state small.
 _BLOCK_ROWS = 48
-
-#: Guards the growth of every series' memos: one lock for all, so a series still pickles.
-_MEMO_LOCK = threading.Lock()
 
 _REL_ERR_RANGE = (1e-15, 1e-2)
 
@@ -117,8 +113,8 @@ class HypergeometricSeries:
 
     Outside its two fields, and so outside equality and hashing, the object
     keeps its term ratios' integer factors, in lowest structural terms (no
-    factor on both sides, coprime scales), and the memos of z-independent
-    term ratios and weight values that the walks grow in place (``_Walk``).
+    factor on both sides, coprime scales), and the z-independent parts of its
+    tail bound; no evaluation changes it.
     """
 
     numerator_params: tuple
@@ -145,9 +141,8 @@ class HypergeometricSeries:
                 int_dens.remove(pq)
         num_scale, den_scale = math.prod(map(itemgetter(1), int_dens)), math.prod(map(itemgetter(1), int_nums))
         g = math.gcd(num_scale, den_scale)
-        # Set in the instance dict, as the fields are frozen.  Memos (see eval_contiguous): term ratios
-        # ([num_0, ...], [den_0, ...]) and {factors: [W(0), W(1), ...]} for each weight summed.
-        vars(self).update(numerator_params=nums, denominator_params=dens, _ratios=([], []), _weights={})
+        # Set in the instance dict, as the fields are frozen.
+        vars(self).update(numerator_params=nums, denominator_params=dens)
         vars(self)["_integer_params"] = (tuple(int_nums), tuple(int_dens), num_scale // g, den_scale // g)
         vars(self)["_tail"] = _tail_bound(nums, dens)
 
@@ -213,14 +208,13 @@ def _at(scale: int, factors: tuple, k: int) -> int:
 
 
 class _Walk:
-    """What a walk's rows share: the stop's budget target_rel_err / 2^_BUDGET_SHIFT
-    as tol_p / tol_q, and the base's memos themselves: per weight [W(0), W(1),
+    """The state of one ``eval_contiguous`` or ``contiguous_values`` call, which
+    all its rows share: the base and weights, the stop's budget target_rel_err
+    / 2^_BUDGET_SHIFT as tol_p / tol_q, and the memos: per weight [W(0), W(1),
     ...] (None for W = 1) and the term ratios [num_k], [den_k], t_{k+1}/t_k =
     -z_sq num_k / den_k.  With each parameter a = p/q exactly, num_k = prod q_b
     prod(p_a + k q_a) and den_k = prod q_a (k+1) prod(p_b + k q_b), less the
-    factors on both sides and the scales' gcd.  A walk grows the memos in place
-    under ``_MEMO_LOCK``, appending only, and reads each below the length it
-    has grown it to, so walks on one series in other threads never disturb it."""
+    factors on both sides and the scales' gcd."""
 
     def __init__(self, base: HypergeometricSeries, weights: Sequence[tuple], target_rel_err: float):
         self.base, self.weights = base, weights
@@ -228,23 +222,19 @@ class _Walk:
         self.tol_q = tol_q << _BUDGET_SHIFT
         # |t W| P tol_q > tol_p |S| (Q - P) holds whenever a bit-length sum reaches this
         self.reject_bits = self.tol_q.bit_length() - self.tol_p.bit_length() - 4
-        self.nums, self.dens = base._ratios
-        memo = base._weights
-        with _MEMO_LOCK:  # a weight's memo starts at W(0)
-            self.values = [memo.setdefault(f, [_at(1, f, 0)]) if f else None for f in weights]
+        self.nums, self.dens = [], []
+        self.values = [[_at(1, f, 0)] if f else None for f in weights]
 
     def grow(self, last: int) -> None:
-        """Extend the memos to num_k, den_k for k < last and W(k) for k < last + 2.
-        The ratios' fast test reads ``dens``, the list the lock extends last."""
-        if len(self.dens) < last:
+        """Extend the memos to num_k, den_k for k < last and W(k) for k < last + 2."""
+        have = len(self.dens)
+        if have < last:
             nums, dens, num_scale, den_scale = self.base._integer_params
-            with _MEMO_LOCK:  # another walk may have grown them since: start at the length now
-                self.nums += _products(num_scale, nums, len(self.nums), last)
-                self.dens += _products(den_scale, dens, len(self.dens), last)
+            self.nums += _products(num_scale, nums, have, last)
+            self.dens += _products(den_scale, dens, have, last)
         for factors, vals in zip(self.weights, self.values):
             if vals is not None and len(vals) < last + 2:
-                with _MEMO_LOCK:
-                    vals += _products(1, factors, len(vals), last + 2)
+                vals += _products(1, factors, len(vals), last + 2)
 
     def checkpoint(self, k: int) -> tuple:
         """What the stop tests at step k share: A_k and B_k (``_tail_bound``),
@@ -285,8 +275,7 @@ def _stops(at_k: tuple, zp: int, exp: int, term: int, totals: list) -> Optional[
     return found
 
 
-def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float, target_rel_err: float,
-              bits: Optional[int]) -> tuple:
+def _row_walk(walk: _Walk, z_sq: float, bits: Optional[int]) -> tuple:
     """``eval_contiguous``'s walk, without its argument checks: (bits, shift,
     floors, sums), the final unit 2^(shift - bits), the floor-error state
     (k_s, e, f) and per weight (S, terms used, the stop of ``_stops`` or None
@@ -298,8 +287,7 @@ def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
     if bits > MAX_PRECISION_BITS:
         raise PrecisionExhaustedError(f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
     cap = default_max_terms(z)
-    k_min, end = base._tail[:2]
-    walk = _Walk(base, weights, target_rel_err)
+    k_min, end = walk.base._tail[:2]
     ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
     zp, zq = z_sq.as_integer_ratio()
     if not zp:  # t_1 = 0: every sum is exact at t_0
@@ -308,7 +296,7 @@ def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
     limit = bits + 2 * _GUARD_BITS
     term = 1 << bits
     totals = [term if v is None else term * v[0] for v in values]  # each None once its sum stops
-    sums = [None] * len(weights)
+    sums = [None] * len(values)
     shift = k_s = 0
     e = f = 0.0  # in units: bounds on the error of t_k and on the sum of those, as of step k_s
     rising = True  # until a checkpoint bounds every later term ratio below 1
@@ -360,8 +348,7 @@ def _row_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sq: float,
     return bits, shift, (k_s, e, f), sums
 
 
-def _block_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Sequence[float],
-                target_rel_err: float) -> Iterator[tuple]:
+def _block_walk(walk: _Walk, z_sqs: Sequence[float]) -> Iterator[tuple]:
     """``_row_walk`` in lockstep at each z_sq of a block, every one at most
     ``RESCALE_FREE_Z``^2: yields (i, bits, sums) for the i-th once its last sum
     stops.  No row coarsens its unit, so a row's checkpoints are the multiples
@@ -369,8 +356,7 @@ def _block_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Seq
     its first zero term on: a chunk ends at any row's first zero term, and only
     the rows at a zero term test their stop there.
     """
-    k_min, end = base._tail[:2]
-    walk = _Walk(base, weights, target_rel_err)
+    k_min, end = walk.base._tail[:2]
     ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
     # Per live row: the index i of z_sq, its bits, t_k, -zp and log2 zq (z_sq = zp / zq);
     # per weight and row the sum and the stop, None until it stops; the count of sums open.
@@ -387,9 +373,9 @@ def _block_walk(base: HypergeometricSeries, weights: Sequence[tuple], z_sqs: Seq
         mzps.append(-zp)
         exps.append(zq.bit_length() - 1)
     sums = [terms.copy() if v is None else list(map(operator.mul, terms, repeat(v[0]))) for v in values]
-    stops = [[None] * len(rows) for _ in weights]
-    opens = [len(weights)] * len(rows)
-    active = range(len(weights))  # the weights some live row still sums
+    stops = [[None] * len(rows) for _ in values]
+    opens = [len(values)] * len(rows)
+    active = range(len(values))  # the weights some live row still sums
     cap = default_max_terms(RESCALE_FREE_Z)
     k = 0  # term steps taken: the walk holds t_0 .. t_k of every live row
     while rows:
@@ -543,7 +529,7 @@ def eval_contiguous(
     check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
-    bits, shift, floors, sums = _row_walk(base, weights, z_sq, target_rel_err, bits)
+    bits, shift, floors, sums = _row_walk(_Walk(base, weights, target_rel_err), z_sq, bits)
     return [EvalResult(*_result(bits, shift, floors, st), bits) for st in sums]
 
 
@@ -559,17 +545,18 @@ def contiguous_values(
     of a walk at its z_sq alone, for a base whose terms stay below e^(2z), as
     the eigenvalue series' do: the block walk does not coarsen its unit."""
     w0s = [_at(1, factors, 0) for factors in weights]
+    walk = _Walk(base, weights, target_rel_err)
     for small, run in groupby(z_sqs, lambda z_sq: z_sq <= RESCALE_FREE_Z**2):
         if not small:
             for z_sq in run:
-                bits, shift, _, sums = _row_walk(base, weights, z_sq, target_rel_err, None)
+                bits, shift, _, sums = _row_walk(walk, z_sq, None)
                 yield [(st[0] << shift) / (w0 << bits) for st, w0 in zip(sums, w0s)]
             continue
         run = list(run)
         for start in range(0, len(run), _BLOCK_ROWS):
             block = run[start : start + _BLOCK_ROWS]
             rows = [None] * len(block)
-            for i, bits, sums in _block_walk(base, weights, block, target_rel_err):
+            for i, bits, sums in _block_walk(walk, block):
                 rows[i] = [st[0] / (w0 << bits) for st, w0 in zip(sums, w0s)]
             yield from rows
 

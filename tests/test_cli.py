@@ -354,6 +354,22 @@ class TestExitStatuses:
         assert len(rows) == 1 and rows[0][0] == argv[5]
         assert all(math.isfinite(float(cell)) for cell in rows[0])
 
+    def test_series_rows_print_where_the_forms_constants_overflow(self):
+        # at beta < n - 339.25 the forms' gamma(a + 1) overflows, but the series is finite
+        code, out, err = run_cli(
+            "eigs", "--dim", "1", "--beta=-400", "--policy", "series", "--nu-max", "5", "--points", "3"
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 3 and all(math.isfinite(float(cell)) for row in rows for cell in row)
+        # a figure companion that is not finite is a blank cell, not exit 3
+        code, out, err = run_cli("figure", "--dim", "2", "--beta=-400", "--delta", "1")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header[3:] == ["asym1", "asym2", "abs_err1", "abs_err2", "branch"]
+        assert len(rows) == 1000 and all(row[3:] == [""] * 5 for row in rows)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[:3])
+
 
 class TestValidateCommand:
     def test_quick_level_passes_and_matches_schema(self):

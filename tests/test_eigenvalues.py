@@ -30,6 +30,7 @@ from perispec.hyper import (
     PrecisionExhaustedError,
     _block_walk,
     _row_walk,
+    _Walk,
     contiguous_values,
     eval_contiguous,
     eval_pfq,
@@ -309,6 +310,7 @@ class TestEvalSpectrum:
             (params_for(3, 5.0, mu=1e308), 2.0),  # series row: lambda2 and both parts overflow
             (params_for(3, 5.0, lambda_star=1e308), 2.0),  # series row: only lambda12 overflows
             (params_for(3, 4.9, mu=1e300), 1e10),  # asymptotic row
+            (params_for(1, -400.0), 50.0),  # asymptotic row: the forms' gamma(a + 1) overflows
         ],
     )
     def test_non_finite_row_raises_naming_nu(self, params, nu):
@@ -498,13 +500,13 @@ class TestBlockWalk:
         # and so must the integers of the block's rows: unit, sums, terms and stops
         zs = [z_of(params, nu) for nu in grid if nu != 0.0]
         z_sqs = [z * z for z in zs if z <= RESCALE_FREE_Z]
-        for i, bits, got in _block_walk(plan.transverse, plan.weights, z_sqs, tol):
-            want_bits, shift, _, want = _row_walk(plan.transverse, plan.weights, z_sqs[i], tol, None)
+        for i, bits, got in _block_walk(_Walk(plan.transverse, plan.weights, tol), z_sqs):
+            want_bits, shift, _, want = _row_walk(_Walk(plan.transverse, plan.weights, tol), z_sqs[i], None)
             assert (bits, [st[:3] for st in got]) == (want_bits, [st[:3] for st in want]), z_sqs[i]
             assert shift == 0
         if params.beta <= params.n + 1:  # the lone rows past RESCALE_FREE_Z include rows that rescale
-            lone = [z * z for z in zs if z > RESCALE_FREE_Z]
-            assert any(_row_walk(plan.transverse, plan.weights, z_sq, tol, None)[1] for z_sq in lone)
+            walk = _Walk(plan.transverse, plan.weights, tol)
+            assert any(_row_walk(walk, z * z, None)[1] for z in zs if z > RESCALE_FREE_Z)
 
     def test_rows_past_rescale_free_z_walk_alone(self):
         # contiguous_values blocks rows up to RESCALE_FREE_Z**2 and walks a later
@@ -526,7 +528,7 @@ class TestBlockWalk:
             for lambda_star in (1.0, 2.5):  # 1.0 = mu: no coupling series
                 plan = _Plan(params_for(n, float(beta), lambda_star=lambda_star))
                 for z in (RESCALE_FREE_Z, math.nextafter(RESCALE_FREE_Z, 0.0), 44.0):
-                    shift = _row_walk(plan.transverse, plan.weights, z * z, 1e-15, None)[1]
+                    shift = _row_walk(_Walk(plan.transverse, plan.weights, 1e-15), z * z, None)[1]
                     assert shift == 0, (beta, lambda_star, z)
 
 

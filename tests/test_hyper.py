@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 import random
 import sys
@@ -24,6 +25,7 @@ from perispec.hyper import (
     HypergeometricSeries,
     InvalidSeriesError,
     PrecisionExhaustedError,
+    contiguous_values,
     default_max_terms,
     eval_contiguous,
     eval_pfq,
@@ -281,8 +283,8 @@ class TestContiguousMembers:
                 assert abs(res.value - ref) <= res.abs_error_estimate, factors
 
     def test_threads_sharing_one_family(self):
-        # Eight threads sum one fresh base with three weights at shuffled z, so
-        # they grow its ratio memo and its factor-keyed weight memo concurrently.
+        # Eight threads sum one fresh base with three weights at shuffled z; each
+        # call's memos are its own, so no thread's walk disturbs another's.
         base, weights = EIGEN_FAMILY
         weights = [(), *weights]
         zs = [1.5 * k for k in range(1, 21)]
@@ -313,7 +315,6 @@ class TestContiguousMembers:
             assert len(got) == len(zs)
             for z, res in got:
                 assert res == ref[z], z
-        assert set(shared._weights) == {factors for factors in weights if factors}
 
     def test_identity_member_is_eval_pfq(self):
         base = EIGEN_FAMILY[0]
@@ -517,10 +518,11 @@ class TestLowestTerms:
     @example(series=HypergeometricSeries((2.25, 2.25, 1.0), (2.25, 1.0, 0.75, 1.0)), z=5.0)
     @settings(max_examples=100, deadline=None)
     def test_memo_ratios_are_exact_in_lowest_terms(self, series, z):
-        # the memo's num_k / den_k is the exact term ratio over -z_sq; the scales
+        # a walk's memo of num_k / den_k is the exact term ratio over -z_sq; the scales
         # are coprime and no factor appears on both sides
-        eval_pfq(series, z * z, 1e-12)
-        ratio_nums, ratio_dens = series._ratios
+        walk = hyper._Walk(series, ((),), 1e-12)
+        hyper._row_walk(walk, z * z, None)
+        ratio_nums, ratio_dens = walk.nums, walk.dens
         assert ratio_nums or 0.0 in series.numerator_params  # a numerator 0 ends the walk at t_0
         nums = [Fraction(a) for a in series.numerator_params]
         dens = [Fraction(b) for b in series.denominator_params]
@@ -577,6 +579,16 @@ class TestMemoisedRatios:
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+    def test_calls_leave_the_series_as_built(self):
+        # the memos belong to each call's walk: no evaluation changes a series
+        series = HypergeometricSeries((1.0, 2.5, 1.25), (2.0, 1.5, 3.5, 2.25))
+        built = copy.deepcopy(vars(series))
+        weights = [(), ((3, 2),), ((1, 1), (5, 2))]
+        eval_pfq(series, 400.0, 1e-12)
+        eval_contiguous(series, weights, 2500.0, 1e-10)
+        list(contiguous_values(series, weights, [0.0, 1.0, 2500.0, 4.0, 1e4, 9.0], 1e-10))
+        assert copy.deepcopy(vars(series)) == built
 
     def test_threads_sharing_one_series(self):
         # Eight threads evaluate one fresh series at shuffled z, so they grow
