@@ -3,7 +3,8 @@
 ``tests/data/contract_sha256.txt`` holds the hashes of every file the runs in
 ``RUNS`` write: the 20 default figure panels (dim 2 and dim 3), one
 default-hybrid ``eigs`` run that crosses z_switch, one ``eigs --format
-json`` run and one series ``eigs`` run at z from 1000 to 3000.  A change that
+json`` run and two series ``eigs`` runs, at beta = 2.5 for z from 1000 to
+3000 and at a generic beta for z from 2000 to 5000.  A change that
 alters any byte of them on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_contract.py
@@ -42,6 +43,12 @@ RUNS = (
         ("eigs", "--dim", "2", "--beta", "2.5", "--policy", "series", "--nu-min", "2000", "--nu-max", "6000",
          "--points", "4"),
         "eigs_dim2_beta2.5_series_nu2000-6000.csv",
+    ),
+    # the series policy at a generic beta (long dyadic parameters), z = 2000 to 5000
+    (
+        ("eigs", "--dim", "2", "--beta", "2.123456789", "--policy", "series", "--nu-min", "4000",
+         "--nu-max", "10000", "--points", "3"),
+        "eigs_dim2_beta2.123456789_series_nu4000-10000.csv",
     ),
 )
 
