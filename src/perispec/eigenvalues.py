@@ -35,6 +35,8 @@ from .hyper import (
     DOUBLE_BITS,
     EvalResult,
     HypergeometricSeries,
+    PrecisionExhaustedError,
+    check_precision,
     check_target_rel_err,
     contiguous_values,
     eval_contiguous,
@@ -83,8 +85,13 @@ class _Plan:
         self.weights = [(), ((3, 2),)] + [((1, 1), d.b.as_integer_ratio())] * coupled
 
     @cached_property
-    def forms(self) -> AsymptoticForms:
-        return AsymptoticForms(self.params)
+    def forms(self) -> Optional[AsymptoticForms]:
+        """The asymptotic forms, built once; None where a gamma of their
+        constants overflows (beta far below n)."""
+        try:
+            return AsymptoticForms(self.params)
+        except OverflowError:
+            return None
 
     def prefactors(self, nu: float) -> Tuple[float, float, float]:
         """lambda2, lambda11 and lambda12 at wavenumber ``nu`` are these times
@@ -121,6 +128,7 @@ def lambda2(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) ->
     check_target_rel_err(tol)
     if nu_norm == 0.0:
         return EvalResult(0.0, 0.0, 1, DOUBLE_BITS)
+    check_precision(z)  # before z^2, which overflows far past the ceiling
     plan = _Plan(params)
     (res,) = eval_contiguous(plan.transverse, [()], z * z, tol)
     prefactor = plan.prefactors(nu_norm)[0]
@@ -139,6 +147,7 @@ def lambda1(params: MaterialParams, nu_norm: float, tol: float = DEFAULT_TOL) ->
     check_target_rel_err(tol)
     if nu_norm == 0.0:
         return EvalResult(0.0, 0.0, 2, DOUBLE_BITS)
+    check_precision(z)  # before z^2, which overflows far past the ceiling
     plan = _Plan(params)
     r11, *r12 = eval_contiguous(plan.transverse, plan.weights[1:], z * z, tol)
     _, l11, l12 = plan.combine(nu_norm, 0.0, r11.value, *(res.value for res in r12))  # no 2F3 here
@@ -201,10 +210,10 @@ def eval_spectrum(
     for nu in nus:
         z = half_delta * nu
         if subcritical and z > 0.0:  # not nu > 0: z underflows to 0 at a subnormal nu
+            forms = plan.forms  # built at the first z > 0; None if its constants overflow
             try:
-                forms = plan.forms  # built at the first z > 0
-                l11, l12, l2 = forms.parts(z)
-            except OverflowError:  # z ** negative at a tiny z, or a gamma of the forms at beta far below n
+                l11, l12, l2 = forms.parts(z) if forms else (inf, inf, inf)
+            except OverflowError:  # z ** negative at a tiny z
                 l11 = l12 = l2 = inf
             l1 = l11 + l12
             if z > z_switch:
@@ -223,6 +232,12 @@ def eval_spectrum(
         if nu == 0.0:
             samples.append(SpectrumSample(nu, 0.0, 0.0, 0.0, 0.0, asym1, asym2, "series", branch))
             continue
+        if z * z == inf:  # past the precision ceiling: raised once the rows before it are summed
+            try:
+                check_precision(z)
+            except PrecisionExhaustedError as exc:
+                error = exc
+                break
         rows.append((len(samples), nu, asym1, asym2, branch))
         z_sqs.append(z * z)
         samples.append(None)

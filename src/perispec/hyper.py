@@ -2,36 +2,26 @@
 
 For p <= q these series are entire, but at large z they are dominated by
 catastrophic cancellation: the terms peak near e^(2z) while the sum is O(1).
-So they are summed in binary fixed point, every term an integer count of
-one unit, 2^-bits at first (``required_bits``).  Parameters and z^2 are
-doubles, hence exact dyadic rationals: a term step is one integer multiply and
-one floor division (error below one unit) by the term ratio, kept in lowest
-terms as a floor depends on the rational ratio alone; the stop test is an
-exact integer comparison, and each sum is rounded to double once.  Its error
-estimate is certified: a geometric bound on the omitted tail, the floor
-errors, and the rounding to double.  Floor errors reach a term amplified to
-about |t_k| 2^-bits, so its low bits carry nothing: once the terms outgrow
-bits by 2 ``_GUARD_BITS``, the walk coarsens its unit, and no integer in it
-gets much wider than that, where the peak terms would otherwise be 2 bits wide.
+So they are summed in binary fixed point, each term an integer count of a unit
+near 2^-bits of t_0 (``required_bits``).  Parameters and z^2 are doubles, hence
+exact dyadic rationals: a term step is one integer multiply and one floor division
+(error below one unit) by the term ratio, kept in lowest terms; the stop test is
+exact, and each sum is rounded to double once, with a certified error estimate.
 
 ``eval_contiguous`` walks the terms t_k of a base series once and sums
-t_k W(k) / W(0) for each weight the caller states, W(k) a product of integer
-linear factors: with t_k the term of 2F3(1, a; 2, b+1, a+1), the
-3F4(1, 5/2, a; 2, 3/2, b+1, a+1) term is t_k (2k+3)/3 and the 1F2(a; b, a+1)
-term is t_k (k+1)(b+k)/b.  ``eval_pfq`` is its one-weight case, W = 1.  There
-are two walks, which share one stop test (``_stops``) and the state of one
-call (``_Walk``).  A single point walks alone, its state in scalar locals
-(``_row_walk``): the only walk that coarsens its unit, it carries the
-floor-error bound the estimate needs.
-``contiguous_values`` gives the values alone at many arguments and picks each
-one's walk: rows at z <= ``RESCALE_FREE_Z`` (44.36), where no walk coarsens,
-go in lockstep blocks (``_block_walk``: a term step is one builtin ``map`` pass
-over the live rows, and each row keeps its own checkpoints, so its integers
-are those of its walk alone), and every other row walks alone.  Each call
-memoises the z-independent term ratios and weight values up to the highest
-term any of its sums reached; a series keeps no state after it is built.
-``eval_pfq_float64`` is the deliberately naive double-precision summation
-kept to demonstrate (and regression-test) why the fixed-point path exists.
+t_k W(k) / W(0) for each weight, W(k) a product of integer linear factors: with
+t_k the term of 2F3(1, a; 2, b+1, a+1), the 3F4(1, 5/2, a; 2, 3/2, b+1, a+1)
+term is t_k (2k+3)/3 and the 1F2(a; b, a+1) term is t_k (k+1)(b+k)/b.
+``eval_pfq`` is its one-weight case.  Two walks share one stop test
+(``_stops``) and the state of one call (``_Walk``).  A single point walks
+alone (``_row_walk``) outward from its anchor, the first term past which the
+tail bound holds every ratio below 1: back to t_0 and on to the stop, the
+recurrence's stable directions (Gautschi, SIAM Rev. 9, 1967), so no term
+outgrows the anchor by much and no floor error grows with the rise.
+``contiguous_values`` gives the values alone at many arguments: rows at z <=
+``RESCALE_FREE_Z`` go in lockstep blocks from t_0 (``_block_walk``, one builtin
+``map`` pass over the live rows per term step), and every other row walks alone.
+A call memoises the term ratios and weights it reaches; a series keeps none.
 """
 
 from __future__ import annotations
@@ -60,14 +50,14 @@ _CHUNK = 16
 #: A sum stops once its tail bound is within target_rel_err / 2^_BUDGET_SHIFT of |S|.
 _BUDGET_SHIFT = 2
 
-#: Bits a base term keeps past ``bits`` when the walk coarsens its unit, which it
-#: does once a term carries twice as many.
+#: Bits the lone walk's anchor may carry past ``bits``: t_0 gets about 2^bits
+#: while |t_K / t_0| <= 2^_GUARD_BITS, and fewer bits past it.
 _GUARD_BITS = 64
 
 _LOG2_E = math.log2(math.e)
 
-#: Terms bounded by e^(2z), as the eigenvalue series' are, never reach the coarsening
-#: width while 2 z log2(e) <= 2 _GUARD_BITS: a walk at z up to this (44.36) never rescales.
+#: Terms bounded by e^(2z), as the eigenvalue series' are, stay within bits + 2 _GUARD_BITS
+#: from t_0 = 2^bits while 2 z log2(e) <= 2 _GUARD_BITS: blocks walk up to this z (44.36).
 RESCALE_FREE_Z = _GUARD_BITS / _LOG2_E
 
 #: Rows ``contiguous_values`` walks in lockstep: enough to spread the interpreter's
@@ -83,6 +73,17 @@ class InvalidSeriesError(ValueError):
 
 class PrecisionExhaustedError(ArithmeticError):
     """Evaluation would exceed the configured precision or term budget."""
+
+
+def check_precision(z: float, bits: Optional[int] = None) -> int:
+    """``bits``, by default ``required_bits(z)``, or ``PrecisionExhaustedError`` naming z past
+    ``MAX_PRECISION_BITS``: callers check z before squaring it, as z^2 overflows far past it."""
+    if bits is None and not z < 2.0**40:  # far past the ceiling, where the count is unreadable
+        raise PrecisionExhaustedError(f"z = {z:g} needs more than MAX_PRECISION_BITS = {MAX_PRECISION_BITS} bits")
+    bits = required_bits(z) if bits is None else bits
+    if bits > MAX_PRECISION_BITS:
+        raise PrecisionExhaustedError(f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    return bits
 
 
 def required_bits(z: float) -> int:
@@ -275,32 +276,86 @@ def _stops(at_k: tuple, zp: int, exp: int, term: int, totals: list) -> Optional[
     return found
 
 
+def _anchor(tail: tuple, zp: int, exp: int, guess: int, limit: int) -> int:
+    """The first step k in [k_min, limit] at which ``_stops`` bounds every later
+    base ratio below 1, z_sq A_k < B_k with z_sq = zp / 2^exp, else limit + 1.
+    Past k_min, A_k / B_k falls as k grows: a search out from ``guess`` finds it."""
+    k_min, _, a_scale, a_factors, b_scale, b_factors = tail
+    lo, hi = k_min - 1, limit + 1  # not below 1 at lo; below 1 at hi, as far as the walk needs
+    k, step = min(max(guess, k_min), limit), 1
+    while lo + 1 < hi:
+        if zp * _at(a_scale, a_factors, k) < _at(b_scale, b_factors, k) << exp:
+            hi, k = k, k - step
+        else:
+            lo, k = k, k + step
+        step *= 2
+        if not lo < k < hi:
+            k, step = (lo + hi) // 2, 0  # bisect from here on
+    return hi
+
+
 def _row_walk(walk: _Walk, z_sq: float, bits: Optional[int]) -> tuple:
-    """``eval_contiguous``'s walk, without its argument checks: (bits, shift,
-    floors, sums), the final unit 2^(shift - bits), the floor-error state
-    (k_s, e, f) and per weight (S, terms used, the stop of ``_stops`` or None
-    if the series ended, the W memo values or None for W = 1).  Every sum
-    ends at the final unit: it stops only past the turn, where no rescale comes.
-    """
+    """``eval_contiguous``'s walk, without its argument checks: (bits, t0, (K, e, f),
+    sums), each value S / (t0 W(0)), the floor-error bounds of the walk back from
+    the anchor K, and per weight (S, terms used, the stop of ``_stops`` or None
+    if the series ended, the W memo values or None for W = 1)."""
     z = math.sqrt(z_sq)
-    bits = required_bits(z) if bits is None else bits
-    if bits > MAX_PRECISION_BITS:
-        raise PrecisionExhaustedError(f"z = {z:g} needs {bits} bits > MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    bits = check_precision(z, bits)
     cap = default_max_terms(z)
-    k_min, end = walk.base._tail[:2]
-    ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
+    tail = walk.base._tail
     zp, zq = z_sq.as_integer_ratio()
-    if not zp:  # t_1 = 0: every sum is exact at t_0
-        end = 0
+    end = tail[1] if zp else 0  # at z_sq = 0, t_1 = 0: every sum is exact at t_0
     mzp, exp = -zp, zq.bit_length() - 1
-    limit = bits + 2 * _GUARD_BITS
-    term = 1 << bits
-    totals = [term if v is None else term * v[0] for v in values]  # each None once its sum stops
+    rest = len(tail[5]) - len(tail[3])  # the ratio bound falls as z_sq / k^rest
+    anchor = _anchor(tail, zp, exp, int(z_sq ** (1.0 / rest)), min(cap, end))
+    if anchor > min(cap, end):  # no ratio bound below 1 by the cap or the last term
+        if end > cap:
+            raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+        anchor = end
+    # one growth for the anchor and, for the eigenvalue series, every checkpoint (~ e z)
+    walk.grow(min(cap, end, (max(anchor, math.ceil(2.75 * z) + 5) // _CHUNK + 1) * _CHUNK))
+    ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
+    lift = 1.0  # |t_k / t_0| up to k = K, or to the first k past 2^_GUARD_BITS
+    for k in range(anchor):
+        try:
+            lift *= abs(ratio_nums[k] / ratio_dens[k]) * z_sq
+        except OverflowError:  # a term ratio beyond the doubles
+            lift = math.inf
+        if not lift < 2.0**_GUARD_BITS:
+            break
+    # t_K, exact: t_0 gets about the unit 2^-bits while |t_K / t_0| <= 2^_GUARD_BITS
+    top = 1 << bits + (0 if lift <= 1.0 else math.ceil(math.log2(lift)) if lift < 2.0**_GUARD_BITS else _GUARD_BITS)
+    term, totals = top, [0] * len(values)
+    e = f = 0.0  # in units: bounds on the error of t_j and on the sum of those of t_j .. t_{K-1}
+    j = hi = anchor  # the walk holds t_j .. t_K
+    while hi:  # back to t_0, one chunk [lo, hi) at a time
+        lo = (hi - 1) // _CHUNK * _CHUNK
+        chunk = []
+        for num, den in zip(reversed(ratio_nums[lo:hi]), reversed(ratio_dens[lo:hi])):
+            x, y = num * mzp, den * zq
+            term = term * y // x
+            chunk.append(term)
+            if abs(x) < abs(y):  # a ratio below 1: the step back amplifies the error of t_{i+1}
+                i = hi - len(chunk)
+                n = j - i - 1  # the steps since t_j, each adding at most one unit
+                f += n * e + n * (n + 1) / 2
+                try:
+                    e = (e + n) * abs(y / x) + 1.0
+                except OverflowError:  # a term ratio beyond the doubles
+                    e = math.inf
+                f += e
+                j = i
+        chunk.reverse()
+        for w, vals in enumerate(values):
+            totals[w] += sum(chunk if vals is None else map(operator.mul, chunk, vals[lo:hi]))
+        hi = lo
+    f, e = f + j * e + j * (j + 1) / 2, e + j  # the steps from t_j back to t_0
+    if not term:
+        raise PrecisionExhaustedError(f"bits = {bits} leave t_0 no bits at z = {z:g}")
+    t0, term = term, top
+    totals = [s + term * (1 if v is None else v[anchor]) for s, v in zip(totals, values)]  # each None once its sum stops
     sums = [None] * len(values)
-    shift = k_s = 0
-    e = f = 0.0  # in units: bounds on the error of t_k and on the sum of those, as of step k_s
-    rising = True  # until a checkpoint bounds every later term ratio below 1
-    k = 0  # term steps taken: the walk holds t_0 .. t_k
+    k = anchor  # term steps taken: the walk holds t_K .. t_k
     while None in sums:
         if k == end:  # the next term is 0: every open sum is exact
             sums = [st or (s, k + 1, None, v) for st, s, v in zip(sums, totals, values)]
@@ -309,52 +364,34 @@ def _row_walk(walk: _Walk, z_sq: float, bits: Optional[int]) -> tuple:
             raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
         first = k
         last = min(first - first % _CHUNK + _CHUNK, cap, end)
-        walk.grow(last)
+        if last > len(ratio_dens):  # past the first growth: two chunks more
+            walk.grow(min(cap, end, last + _CHUNK))
         chunk = []
         for num, den in zip(ratio_nums[first:last], ratio_dens[first:last]):
-            x, y = num * mzp, den * zq
-            term = term * x // y
+            term = term * (num * mzp) // (den * zq)
             chunk.append(term)
-            if rising:  # the floor errors, step by step
-                try:
-                    e = e * abs(x / y) + 1.0
-                except OverflowError:  # a term ratio beyond the doubles
-                    e = math.inf
-                f += e
-            if not term or term.bit_length() > limit:  # a zero term (so is every later one) or a term to rescale
+            if not term:  # a zero term: so is every later one
                 break
         k = first + len(chunk)
-        if rising:
-            k_s = k
         for w, s in enumerate(totals):
             if s is not None:
                 vals = values[w]
                 totals[w] = s + sum(chunk if vals is None else map(operator.mul, chunk, vals[first + 1 : k + 1]))
-        cut = term.bit_length() - bits - _GUARD_BITS
-        if cut > _GUARD_BITS:  # a unit 2^cut times coarser: only before the turn, so k_s = k and every sum is open
-            shift += cut
-            term >>= cut
-            totals = [s >> cut for s in totals]
-            e, f = math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0  # the floors of the term and of each sum
-        if k < k_min or k == end:
+        if k == end:
             continue
-        found = _stops(walk.checkpoint(k), zp, exp, term, totals)
-        if found is not None:
-            rising = False
-            for w, stop in enumerate(found):
-                if stop:
-                    sums[w] = (totals[w], k + 1, stop, values[w])
-                    totals[w] = None
-    return bits, shift, (k_s, e, f), sums
+        for w, stop in enumerate(_stops(walk.checkpoint(k), zp, exp, term, totals)):
+            if stop:
+                sums[w] = (totals[w], k + 1, stop, values[w])
+                totals[w] = None
+    return bits, t0, (anchor, e, f), sums
 
 
 def _block_walk(walk: _Walk, z_sqs: Sequence[float]) -> Iterator[tuple]:
-    """``_row_walk`` in lockstep at each z_sq of a block, every one at most
-    ``RESCALE_FREE_Z``^2: yields (i, bits, sums) for the i-th once its last sum
-    stops.  No row coarsens its unit, so a row's checkpoints are the multiples
-    of ``_CHUNK``, the cap (``MIN_TERM_CAP`` at every such z) and its steps from
-    its first zero term on: a chunk ends at any row's first zero term, and only
-    the rows at a zero term test their stop there.
+    """The walk on from t_0 = 2^bits in lockstep at each z_sq of a block, every one at
+    most ``RESCALE_FREE_Z``^2: yields (i, bits, sums) for the i-th once its last sum
+    stops.  A row's checkpoints are the multiples of ``_CHUNK``, the cap
+    (``MIN_TERM_CAP`` at every such z) and its steps from its first zero term on: a
+    chunk ends at any row's first zero term, and only those rows test their stop there.
     """
     k_min, end = walk.base._tail[:2]
     ratio_nums, ratio_dens, values = walk.nums, walk.dens, walk.values
@@ -431,35 +468,35 @@ def _block_walk(walk: _Walk, z_sqs: Sequence[float]) -> Iterator[tuple]:
             active = [w for w in active if None in stops[w]]
 
 
-def _result(bits: int, shift: int, floors: tuple, st: tuple) -> tuple:
+def _result(t0: int, floors: tuple, st: tuple) -> tuple:
     """(value, abs_error_estimate, terms_used) of one sum of ``_row_walk``."""
     total, terms, stop, values = st
-    scale = (1 if values is None else values[0]) << bits
-    exact = total << shift
-    value = exact / scale  # int / int: one correct rounding to double
-    k_s, e, f = floors
-    n = terms - 1 - k_s
-    if n:  # past the turn every term ratio is below 1: each step adds at most one unit to e
-        f += n * e + n * (n + 1) / 2
-        e += n
+    w0 = 1 if values is None else values[0]
+    value = total / (t0 * w0)  # int / int: one correct rounding to double
+    anchor, e, f = floors
+    n = terms - 1 - anchor  # steps past the anchor, each adding at most one unit to the term's error
     # e and f took under 20 roundings to nearest per term, each of a positive
     # quantity by a factor within 1 +- 2^-53: the slack covers them
     slack = 1.0 + terms * 2.0**-46
     e, f = e * slack, f * slack
-    if not f < math.inf:
+    t = abs(t0)
+    if not (f < math.inf and e < t):
         return value, math.inf, terms
     w = 1 if values is None else values[terms - 1]  # W(N) >= W(j) for every j <= N
+    ep, eq = e.as_integer_ratio()
     fp, fq = f.as_integer_ratio()
-    num, den = fp * w, fq * scale  # every term's floor errors, f W(N) units
-    if stop is not None:  # the tail, (|t_N W(N)| + e W(N)) P / (Q - P)
+    fp += fq * (n * (n + 1) // 2)
+    # (every floor error, (f + n(n+1)/2) W(N), plus |S| e / t for t0's own, plus
+    # the tail (|t_N W(N)| + n W(N)) P / (Q - P)) over |t0| W(0) (1 - e / t)
+    num, den = (fp * w * t * eq + abs(total) * ep * fq), fq * w0 * t * (t * eq - ep)
+    if stop is not None:
         mag, p, d = stop
-        ep, eq = e.as_integer_ratio()
-        num = num * eq * d + (mag * eq + ep * w) * p * fq
-        den *= eq * d
+        num = num * d + (mag + n * w) * p * t * fq * eq
+        den *= d
     vp, vq = value.as_integer_ratio()
     # plus the rounding to double, exactly; the bound rounds up
-    residual = abs(exact * vq - vp * scale) * (den // scale)
-    return value, math.nextafter(((num << shift) * vq + residual) / (den * vq), math.inf), terms
+    residual = abs(total * vq - vp * t0 * w0) * (den // (t * w0))
+    return value, math.nextafter((num * vq + residual) / (den * vq), math.inf), terms
 
 
 def eval_contiguous(
@@ -468,69 +505,45 @@ def eval_contiguous(
 ) -> List[EvalResult]:
     """Sum t_k W(k) / W(0) at -z_sq for each weight W, from one walk of the base terms t_k.
 
-    A weight is a tuple of integer factors (p, q), p > 0 and q >= 0, with
-    W(k) = prod(p + k q); ``()`` sums the base itself.  Base terms
-    t_{k+1} = t_k (-z_sq) prod(a_i + k) / (prod(b_j + k) (k + 1)) are integer
-    counts of a unit u = 2^(shift - bits), ``bits = required_bits(sqrt(z_sq))``
-    unless overridden.  Each weight keeps its own sum S of t_k W(k); D = W(0)
-    enters once, in the final rounding, a division by D 2^(bits - shift).
+    A weight is a tuple of integer factors (p, q), p > 0 and q >= 0, with W(k) =
+    prod(p + k q); ``()`` sums the base itself.  The terms t_{k+1} = t_k r_k, r_k =
+    -z_sq prod(a_i + k) / (prod(b_j + k) (k + 1)), are integers T_k, and a weight's
+    sum S of T_k W(k) gives the value S / (T_0 W(0)).  Once every a_i + k >= 0 and
+    b_j + k > 0, pair each numerator a with the smallest free denominator b >= a,
+    else the largest free one ((k+1) is the denominator 1): rho = z_sq prod over
+    pairs max(1, |a + k| / (b + k)) / prod over unpaired (b + k), times
+    W(k+1)/W(k), bounds every later |t_{j+1} W(j+1) / (t_j W(j))| (Johansson,
+    arXiv:1606.06977).  The anchor K is the first k where the base's rho < 1, or
+    the last term if the series ends first (t_m for a numerator -m, t_0 at z_sq =
+    0); T_K = 2^(bits + d), bits = ``required_bits(sqrt(z_sq))`` unless overridden
+    and 2^d about |t_K / t_0| up to 2^``_GUARD_BITS`` (T_0 = 2^bits at K = 0).
+    Back from K, T_k = floor(T_{k+1} / r_k), each chunk of ``_CHUNK`` terms summed
+    and dropped; on from K, T_{k+1} = floor(T_k r_k), and a sum stops at the first
+    checkpoint (a multiple of ``_CHUNK``, the first zero term, the term cap) where
+    |T_k W(k)| rho / (1 - rho) is within target_rel_err / 4 of |S|: a caller may
+    square a sum, as lambda12 does, and the roundings take the rest.
 
-    The walk takes its terms in chunks: each weight adds a chunk with one
-    builtin ``sum``, and the stop is tested at the chunk's end, a checkpoint.
-    Checkpoints are the step counts k that are multiples of ``_CHUNK``, the
-    rescales below, the first zero term (all later ones are 0 too), the term
-    cap and the last term of a terminating series, so they follow the walk
-    alone.  At a checkpoint k, once every a_i + k >= 0 and b_j + k > 0, pair
-    each numerator a with the smallest free denominator b >= a, else the
-    largest free one ((k+1) is the denominator 1): each pair's (a + j) /
-    (b + j) is monotone in j, so rho = z_sq prod over pairs
-    max(1, |a + k| / (b + k)) / prod over unpaired (b + k), times W(k+1)/W(k),
-    bounds every later ratio |t_{j+1} W(j+1) / (t_j W(j))|, j >= k.  When
-    rho < 1 the tail is at most |t_k W(k)| rho / (1 - rho) (Johansson,
-    arXiv:1606.06977), and a sum stops at the first checkpoint where that is
-    within target_rel_err / 4 of |S|.  The other three quarters are headroom:
-    a caller may square a sum, as lambda12 squares its 1F2, which doubles its
-    relative error, and the rounding to double and the caller's prefactors
-    take the rest, so an eigenvalue holds target_rel_err.  A series whose
-    numerator is a nonpositive integer -m, or z_sq = 0, ends exactly at t_m.
-
-    The shift starts at 0.  A base term wider than bits + 2G bits, G =
-    ``_GUARD_BITS``, ends its chunk; once the open sums have added it, the
-    term and each open sum are shifted right until the term is bits + G bits
-    wide, and the shift grows by as much.  Past the turn (rho < 1 for the
-    base) no term is wider than the one before it, so no rescale comes.  The
-    walk keeps its state in scalar locals, one per quantity and weight.
-
-    ``contiguous_values`` picks the walk of each of many arguments: it walks
-    those at z <= ``RESCALE_FREE_Z`` in lockstep blocks, where no rescale
-    comes, and a chunk ends at any row's first zero term, but each row tests
-    its stop only at its own checkpoints; every other argument walks alone.
-
-    ``abs_error_estimate`` is the certified tail plus rounding.  A term step
-    floors below one unit, and later steps scale that error with the terms,
-    by |t_k / t_j| from step j to step k: a floor made at a term far below
-    t_0 grows with the terms that rise after it.  So the walk carries e_k,
-    a bound on the error of t_k in units, with e_k = e_{k-1} |t_k / t_{k-1}|
-    + 1 (in doubles, the ratio rounded from its exact integers) and their sum
-    f, up to the turn; past it every ratio is below 1, so each step adds at
-    most one unit to e.  A rescale by 2^-cut takes e to e 2^-cut + 1 and f to
-    f 2^-cut + 1, the floors of the term and of each open sum.  The estimate
-    charges f W(N) units for the terms, N = terms_used - 1 (W is
-    nondecreasing), and the tail (|t_N W(N)| + e_N W(N)) P / (Q - P); the
-    doubles' roundings stay within a slack of 1 + terms_used 2^-46 on e and
-    f.  Last comes the exact error of the rounding to double, and the sum of
-    the parts rounds up.
+    ``abs_error_estimate`` is certified.  A floor errs by under one unit.  On from
+    K each ratio is below 1, so each step adds at most one unit to the error of
+    T_k: n(n+1)/2 units in all, n = N - K, N = terms_used - 1.  Back from K the
+    error grows only where |r_k| < 1: e, bounding the error of T_k, takes
+    e / |r_k| + 1 there (in doubles) and e + 1 elsewhere; f sums it over T_0 ..
+    T_{K-1}.  With W nondecreasing and e_0 = e at T_0, the estimate is ((f +
+    n(n+1)/2) W(N) + |S| e_0 / |T_0| + (|T_N W(N)| + n W(N)) P / (Q - P)) /
+    ((|T_0| - e_0) W(0)), with a slack of 1 + terms_used 2^-46 on the doubles,
+    plus the exact error of the rounding to double, rounded up.
 
     Raises ``PrecisionExhaustedError`` when the required precision exceeds
-    ``MAX_PRECISION_BITS`` or the term budget ``default_max_terms`` runs out.
+    ``MAX_PRECISION_BITS``, the term budget ``default_max_terms`` runs out or a
+    ``bits`` override leaves T_0 = 0.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
     check_target_rel_err(target_rel_err)
     if bits is not None and (not isinstance(bits, int) or bits < DOUBLE_BITS):
         raise ValueError(f"bits must be an integer >= {DOUBLE_BITS}, got {bits!r}")
-    bits, shift, floors, sums = _row_walk(_Walk(base, weights, target_rel_err), z_sq, bits)
-    return [EvalResult(*_result(bits, shift, floors, st), bits) for st in sums]
+    bits, t0, floors, sums = _row_walk(_Walk(base, weights, target_rel_err), z_sq, bits)
+    return [EvalResult(*_result(t0, floors, st), bits) for st in sums]
 
 
 def contiguous_values(
@@ -541,16 +554,16 @@ def contiguous_values(
     Each run of arguments at z <= ``RESCALE_FREE_Z`` goes in lockstep blocks of
     ``_BLOCK_ROWS``, and every other argument walks alone, without the error
     arithmetic of ``_result``; a lone row is walked once the rows before it are
-    yielded, so the first row that fails raises first.  Each row equals the row
-    of a walk at its z_sq alone, for a base whose terms stay below e^(2z), as
-    the eigenvalue series' do: the block walk does not coarsen its unit."""
+    yielded, so the first row that fails raises first.  A block row's sums,
+    from t_0 = 2^bits, are those of ``eval_contiguous`` to within about 2^-80,
+    for a base whose terms stay below e^(2z), as the eigenvalue series' do."""
     w0s = [_at(1, factors, 0) for factors in weights]
     walk = _Walk(base, weights, target_rel_err)
     for small, run in groupby(z_sqs, lambda z_sq: z_sq <= RESCALE_FREE_Z**2):
         if not small:
             for z_sq in run:
-                bits, shift, _, sums = _row_walk(walk, z_sq, None)
-                yield [(st[0] << shift) / (w0 << bits) for st, w0 in zip(sums, w0s)]
+                _, t0, _, sums = _row_walk(walk, z_sq, None)
+                yield [st[0] / (w0 * t0) for st, w0 in zip(sums, w0s)]
             continue
         run = list(run)
         for start in range(0, len(run), _BLOCK_ROWS):

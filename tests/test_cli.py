@@ -322,6 +322,15 @@ class TestExitStatuses:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_overflowing_z_squared_is_a_numerical_failure(self):
+        # z = 5e154 is finite, its square is not: exit 3 naming z, not a usage error
+        code, out, err = run_cli(
+            "eigs", "--dim", "2", "--beta", "2", "--policy", "series",
+            "--nu-min", "1e155", "--nu-max", "1e155", "--points", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: z = 5e+154 needs more than MAX_PRECISION_BITS")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perispec.eigenvalues as eigenvalues
 from perispec.asymptotics import AsymptoticForms, asym_lambda2
 from perispec.eigenvalues import (
     MaterialParams,
@@ -25,16 +26,17 @@ from perispec.eigenvalues import (
 )
 from perispec.hyper import (
     _BLOCK_ROWS,
+    _GUARD_BITS,
     RESCALE_FREE_Z,
     HypergeometricSeries,
     PrecisionExhaustedError,
     _block_walk,
-    _row_walk,
     _Walk,
     contiguous_values,
     eval_contiguous,
     eval_pfq,
 )
+from perispec.tables import wavenumber_grid
 from test_hyper import bruteforce_pfq
 
 
@@ -425,6 +427,33 @@ CONTIGUOUS_MATERIALS = [
 ]
 
 
+class TestPrecisionCeiling:
+    # a finite z whose square overflows is past the precision ceiling, not a bad argument
+    @pytest.mark.parametrize("wrapper", [lambda1, lambda2])
+    def test_wrappers_name_z_before_squaring_it(self, wrapper):
+        with pytest.raises(PrecisionExhaustedError, match=r"z = 5e\+199 needs more than MAX_PRECISION_BITS"):
+            wrapper(params_for(2, 2.0), 1e200)
+
+    def test_series_row_names_z_before_squaring_it(self):
+        with pytest.raises(PrecisionExhaustedError, match=r"z = 5e\+154 needs more than MAX_PRECISION_BITS"):
+            eval_spectrum(params_for(2, 2.0), [1.0, 1e155], math.inf)
+        with pytest.raises(ValueError, match="z_sq must be finite"):  # a direct sum still checks its argument
+            eval_contiguous(_Plan(params_for(2, 2.0)).transverse, [()], math.inf)
+
+    def test_forms_that_overflow_are_built_once_per_grid(self, monkeypatch):
+        # at beta < n - 339.25 the forms' gamma overflows: the grid tries them once
+        builds = []
+
+        def counting(params):
+            builds.append(params)
+            return AsymptoticForms(params)
+
+        monkeypatch.setattr(eigenvalues, "AsymptoticForms", counting)
+        rows = eval_spectrum(MaterialParams(2, 1.0, -400.0, 1.0, 2.0), wavenumber_grid(0, 30, 1000), math.inf)
+        assert len(builds) == 1
+        assert all(row.asym1 is None and row.asym2 is None and row.branch == "" for row in rows)
+
+
 class TestOneWalkPerPoint:
     # Each point sums its series in one walk of the transverse terms; every
     # part must equal a separate single-series sum, value and terms used.
@@ -441,16 +470,21 @@ class TestOneWalkPerPoint:
             assert summed(lambda1, params, row.nu_norm, tol) == (want[1][0] + want[2][0], want[1][1] + want[2][1])
 
     def test_large_z_lambda1_keeps_no_term_list(self):
-        # z = 2000: ~5,500 terms of ~5,900 bits, about 4 MB as a list of ints.
-        # The walk holds a chunk of at most 16 of them at a time.
+        # z = 2000: ~5,500 terms of ~5,900 bits, about 4 MB as a list of ints, and
+        # at z = 4000 about 16 MB.  The walk, back from its anchor and on from it,
+        # holds a chunk of at most 16 of them at a time.  What remains is the memo
+        # of term ratios and weights, ~160 bytes a term: 1.76 MB for lambda1 at
+        # z = 4000 with any walk that keeps it, so the bound there is twice as wide.
         params = params_for(2, 2.5)
-        tracemalloc.start()
-        try:
-            lambda1(params, 4000.0, 1e-10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_500_000
+        for wrapper in (lambda1, lambda2):
+            for nu, bound in ((4000.0, 1_500_000), (8000.0, 3_000_000)):
+                tracemalloc.start()
+                try:
+                    wrapper(params, nu, 1e-10)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (wrapper.__name__, nu)
 
 
 @st.composite
@@ -469,6 +503,11 @@ def block_grids(draw):
     tiny = draw(st.floats(min_value=1e-150, max_value=1e-100))  # z_sq stays a normal double
     grid = draw(st.permutations([0.0, tiny] + [2.0 * z / delta for z in zs]))
     return params_for(n, beta, delta, lambda_star=lambda_star), grid, draw(st.sampled_from([1e-15, 1e-10, 1e-3]))
+
+
+def _at_zero(factors):
+    """W(0) of a weight."""
+    return math.prod(p for p, _ in factors)
 
 
 def row_sums(plan, z, tol):
@@ -497,16 +536,18 @@ class TestBlockWalk:
             got = (row.lambda2, row.lambda11, row.lambda12)
             want = plan.combine(row.nu_norm, *row_sums(plan, z_of(params, row.nu_norm), tol))
             assert list(map(float.hex, got)) == list(map(float.hex, want)), row.nu_norm
-        # and so must the integers of the block's rows: unit, sums, terms and stops
+        # and so must each block row's sums: doubles, terms and bits
         zs = [z_of(params, nu) for nu in grid if nu != 0.0]
         z_sqs = [z * z for z in zs if z <= RESCALE_FREE_Z]
         for i, bits, got in _block_walk(_Walk(plan.transverse, plan.weights, tol), z_sqs):
-            want_bits, shift, _, want = _row_walk(_Walk(plan.transverse, plan.weights, tol), z_sqs[i], None)
-            assert (bits, [st[:3] for st in got]) == (want_bits, [st[:3] for st in want]), z_sqs[i]
-            assert shift == 0
-        if params.beta <= params.n + 1:  # the lone rows past RESCALE_FREE_Z include rows that rescale
-            walk = _Walk(plan.transverse, plan.weights, tol)
-            assert any(_row_walk(walk, z * z, None)[1] for z in zs if z > RESCALE_FREE_Z)
+            want = eval_contiguous(plan.transverse, plan.weights, z_sqs[i], tol)
+            doubles = [st[0] / (_at_zero(factors) << bits) for st, factors in zip(got, plan.weights)]
+            assert doubles == [res.value for res in want], z_sqs[i]
+            # but for a sum that ends at a zero term (|t_k| = 0): on the lone walk's
+            # own unit, which differs from the block's 2^-bits, it may end at another checkpoint
+            for st, res in zip(got, want):
+                assert st[1] == res.terms_used or st[2][0] == 0, z_sqs[i]
+            assert {bits} == {res.precision_bits_used for res in want}, z_sqs[i]
 
     def test_rows_past_rescale_free_z_walk_alone(self):
         # contiguous_values blocks rows up to RESCALE_FREE_Z**2 and walks a later
@@ -521,15 +562,22 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_walks_up_to_rescale_free_z_never_rescale(self, n):
-        # the block walk has no rescale: every eigenvalue walk up to RESCALE_FREE_Z
-        # keeps its first unit, near the edge and at beta near n+2 too
+        # the block walk never coarsens its unit, so it relies on this: up to
+        # RESCALE_FREE_Z no eigenvalue walk's term outgrows bits + 2 _GUARD_BITS,
+        # near the edge and at beta near n+2 too
         betas = list(np.linspace(-4.0, n + 2.0, 13)) + [n, n + 1.0, n + 2.0 - 1e-12]
         for beta in betas:
             for lambda_star in (1.0, 2.5):  # 1.0 = mu: no coupling series
                 plan = _Plan(params_for(n, float(beta), lambda_star=lambda_star))
                 for z in (RESCALE_FREE_Z, math.nextafter(RESCALE_FREE_Z, 0.0), 44.0):
-                    shift = _row_walk(_Walk(plan.transverse, plan.weights, 1e-15), z * z, None)[1]
-                    assert shift == 0, (beta, lambda_star, z)
+                    walk = _Walk(plan.transverse, plan.weights, 1e-15)
+                    ((_, bits, sums),) = _block_walk(walk, [z * z])
+                    zp, zq = (z * z).as_integer_ratio()
+                    term, widest = 1 << bits, 0  # the block's terms, floor(t_k x_k / y_k)
+                    for num, den in zip(walk.nums[: max(st[1] for st in sums) - 1], walk.dens):
+                        term = term * -zp * num // (den * zq)
+                        widest = max(widest, term.bit_length())
+                    assert widest <= bits + 2 * _GUARD_BITS, (beta, lambda_star, z)
 
 
 def mpmath_parts(params, nu):

@@ -143,6 +143,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 eval_pfq(series, 1.0, 1e-12, bits=bits)
 
+    def test_bits_too_few_for_t0(self):
+        # at z = 150 the anchor's t_K is 2^(bits + 64) and |t_K / t_0| ~ 2^430:
+        # 53 bits leave t_0 at 0, a precision failure, not a division by zero
+        with pytest.raises(PrecisionExhaustedError, match="leave t_0 no bits"):
+            eval_pfq(LARGE_Z_2F3, 150.0**2, bits=DOUBLE_BITS)
+
     def test_precision_ceiling(self):
         series = HypergeometricSeries((1.0, 1.5), (2.0, 3.5, 2.5))
         z = 4e5  # required_bits(z) > MAX_PRECISION_BITS
@@ -217,6 +223,10 @@ class TestErrorBound:
     @example(series=COUPLING, z=COUPLING_ROOTS[0], tol=1e-12)
     @example(series=COUPLING, z=COUPLING_ROOTS[1], tol=1e-12)
     @example(series=COUPLING, z=COUPLING_ROOTS[2], tol=1e-12)
+    # the walk's anchor: a first term ratio below 1 before the terms rise (the
+    # n = 2 transverse series at beta = n + 2 - 1e-3), and z_sq = 0
+    @example(series=HypergeometricSeries((1.0, 5e-4), (2.0, 3.0, 1.0005)), z=10.0, tol=1e-15)
+    @example(series=COUPLING, z=0.0, tol=1e-12)
     @settings(max_examples=300, deadline=None)
     def test_estimate_bounds_error_vs_mpmath(self, series, z, tol):
         # the reported error estimate is a true bound on |value - exact|, with
@@ -354,26 +364,30 @@ def reference_eval_pfq(
     *,
     bits: Optional[int] = None,
 ) -> EvalResult:
-    """The fixed-point kernel term by term, its tail bound in exact fractions.
+    """The anchored fixed-point kernel term by term, its estimate in exact fractions.
 
-    It recomputes every ratio from the series parameters on every call, so
-    ``eval_pfq`` must return an equal ``EvalResult`` whatever its memo holds.
-    Its term cap is the kernel's, ``hyper.default_max_terms``, looked up at
-    call time so that a test can patch both.
-    It coarsens its unit by the same rule, term by term: once a term is more
-    than 2 _GUARD_BITS wider than bits and has been summed, the term and the
-    sum are shifted right until the term is bits + _GUARD_BITS bits wide.  It
-    tests the stop at the same checkpoints, step counts k that are multiples
-    of ``hyper._CHUNK``, a rescale, a zero term or the cap, once every a + k
-    >= 0 and b + k > 0: pairing each numerator a with the smallest free
-    denominator b >= a, else the largest free one (the (k+1) factor is the
-    denominator 1), rho = z_sq prod over pairs max(1, |a + k| / (b + k)) /
-    prod over the rest (b + k), and the sum stops once rho < 1 and |t_k| rho
-    / (1 - rho) <= target_rel_err / 4 |S|.  It bounds the floor errors by the
-    same rule in the same double operations: e, the error of t_k, takes e
-    |ratio| + 1 at each step until the first checkpoint with rho < 1 and e + 1
-    after it, f adds each step's e, and a rescale by 2^-cut takes both to
-    e 2^-cut + 1 and f 2^-cut + 1.
+    It recomputes every ratio r_k = t_{k+1} / t_k from the series parameters on
+    every call, so ``eval_pfq`` must return an equal ``EvalResult`` whatever its
+    memo holds.  Its term cap is the kernel's, ``hyper.default_max_terms``,
+    looked up at call time so that a test can patch both.
+
+    rho_k pairs each numerator a with the smallest free denominator b >= a,
+    else the largest free one (the (k+1) factor is the denominator 1): rho_k =
+    z_sq prod over pairs max(1, |a + k| / (b + k)) / prod over the rest
+    (b + k), once every a + k >= 0 and b + k > 0.  The anchor K is the first
+    k <= cap with rho_k < 1, or the last term if the series ends first; past
+    the cap without either, the series does not converge.  |t_K / t_0| is
+    taken as a product of doubles, |r_k| in the kernel's double operations,
+    stopped at the first k past 2^_GUARD_BITS, and t_K = 2^(bits + d) exactly,
+    with d its ceil(log2) clamped to [0, _GUARD_BITS].  Back to t_0, t_k =
+    floor(t_{k+1} / r_k), and e, the error of t_k in units, takes e |1 / r_k|
+    + 1 where |r_k| < 1 and e + 1 elsewhere; f sums those of t_0 .. t_{K-1}.
+    Forward, t_{k+1} = floor(t_k r_k), each adding at most one unit of error,
+    and the sum S stops at the first k > K that is a multiple of
+    ``hyper._CHUNK``, a zero term or the cap, where |t_k| rho_k / (1 - rho_k)
+    <= target_rel_err / 4 |S|.  The value is S / t_0, and the estimate (f +
+    n(n+1)/2 + |S| e_0 / |t_0| + the tail (|t_N| + n) rho / (1 - rho)) / (|t_0|
+    - e_0), n = N - K steps past the anchor, plus the rounding to double.
     """
     if not (z_sq >= 0.0 and math.isfinite(z_sq)):
         raise ValueError(f"z_sq must be finite and >= 0, got {z_sq}")
@@ -403,69 +417,89 @@ def reference_eval_pfq(
     x = Fraction(z_sq)
     budget = Fraction(target_rel_err) / 4
 
-    one = 1 << bits
-    term = total = one
-    shift = 0
-    k = 0  # steps taken: t_0 .. t_k summed
-    wide = False  # the last step rescaled
+    def step(k):  # r_k / -z_sq
+        return math.prod(a + k for a in nums) / ((k + 1) * math.prod(b + k for b in dens))
+
+    def rho(k):  # None until every a + k >= 0 and b + k > 0
+        if not (all(a + k >= 0 for a in nums) and all(b + k > 0 for b in dens)):
+            return None
+        bound = x / math.prod(b + k for b in free)
+        for a, b in pairs:
+            bound *= max(Fraction(1), abs(a + k) / (b + k))
+        return bound
+
+    for anchor in range(cap + 1):
+        r = rho(anchor)
+        if (r is not None and r < 1) or not x * step(anchor):
+            break
+    else:
+        raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
+
+    lift = 1.0
+    for k in range(anchor):
+        try:
+            lift *= abs(float(step(k))) * z_sq
+        except OverflowError:
+            lift = math.inf
+        if not lift < 2.0**_GUARD_BITS:
+            break
+    top = 1 << bits + (0 if lift <= 1.0 else math.ceil(math.log2(lift)) if lift < 2.0**_GUARD_BITS else _GUARD_BITS)
+
+    term = total = top
+    e = f = 0.0
+    j = anchor  # e bounds the error of t_j
+    for k in reversed(range(anchor)):
+        ratio = -x * step(k)
+        term = term * ratio.denominator // ratio.numerator
+        total += term
+        if abs(ratio) < 1:
+            n = j - k - 1
+            f += n * e + n * (n + 1) / 2
+            try:
+                e = (e + n) * float(abs(1 / ratio)) + 1.0
+            except OverflowError:
+                e = math.inf
+            f += e
+            j = k
+    if j:
+        f += j * e + j * (j + 1) / 2
+        e += j
+    if not term:
+        raise PrecisionExhaustedError(f"bits = {bits} leave t_0 no bits at z = {z:g}")
+    t0, term = term, top
+
+    k = anchor  # steps taken: t_0 .. t_k summed
     stop = None  # (|t_k|, rho) where the sum stopped
-    turned = False  # a checkpoint had rho < 1
-    e = f = 0.0  # floor errors, in units: of t_k and of the sum, as of step k_s
-    k_s = 0
     while True:
-        ratio = -x * math.prod(a + k for a in nums) / ((k + 1) * math.prod(b + k for b in dens))
+        ratio = -x * step(k)
         if ratio == 0:  # t_{k+1} and every later term vanish
             break
-        if k and (k % hyper._CHUNK == 0 or wide or not term or k == cap):
-            if all(a + k >= 0 for a in nums) and all(b + k > 0 for b in dens):
-                rho = x / math.prod(b + k for b in free)
-                for a, b in pairs:
-                    rho *= max(Fraction(1), abs(a + k) / (b + k))
-                turned = turned or rho < 1
-                if rho < 1 and abs(term) * rho <= budget * abs(total) * (1 - rho):
-                    stop = abs(term), rho
-                    break
         if k >= cap:
             raise PrecisionExhaustedError(f"series did not converge within {cap} terms at z = {z:g}")
         term = term * ratio.numerator // ratio.denominator
         k += 1
         total += term
-        if not turned:
-            try:
-                e = e * float(abs(ratio)) + 1.0
-            except OverflowError:
-                e = math.inf
-            f += e
-            k_s = k
-        cut = term.bit_length() - bits - _GUARD_BITS
-        wide = cut > _GUARD_BITS
-        if wide:
-            shift += cut
-            term >>= cut
-            total >>= cut
-            n = k - k_s
-            if n:
-                f += n * e + n * (n + 1) / 2
-                e += n
-            e, f, k_s = math.ldexp(e, -cut) + 1.0, math.ldexp(f, -cut) + 1.0, k
+        if (k % hyper._CHUNK == 0 or not term or k == cap) and x * step(k):
+            r = rho(k)
+            assert r < 1  # every ratio past the anchor is below 1
+            if abs(term) * r <= budget * abs(total) * (1 - r):
+                stop = abs(term), r
+                break
 
     terms_used = k + 1
-    exact = Fraction(total << shift, one)
+    exact = Fraction(total, t0)
     value = float(exact)
-    n = k - k_s
-    if n:
-        f += n * e + n * (n + 1) / 2
-        e += n
+    n = k - anchor
     slack = 1.0 + terms_used * 2.0**-46
     e, f = e * slack, f * slack
-    if not f < math.inf:
+    t = abs(t0)
+    if not (f < math.inf and e < t):
         return EvalResult(value, math.inf, terms_used, bits)
-    unit = Fraction(1 << shift, one)
-    err = Fraction(f) * unit
+    err = Fraction(f) + n * (n + 1) // 2 + abs(total) * Fraction(e) / t
     if stop is not None:
-        mag, rho = stop
-        err += (mag + Fraction(e)) * rho / (1 - rho) * unit
-    err += abs(exact - Fraction(value))
+        mag, r = stop
+        err += (mag + n) * r / (1 - r)
+    err = err / (t - Fraction(e)) + abs(exact - Fraction(value))
     return EvalResult(
         value=value,
         abs_error_estimate=math.nextafter(float(err), math.inf),
@@ -660,6 +694,9 @@ class TestTailBound:
     # t_1 ~ 1e-32 is 2^-106 of t_0, and t_3 ~ 45 t_1: the floor error made at
     # t_1 grows with the terms after it
     @example(series=HypergeometricSeries((-3.0, 1.0, 4.795649000782479e-35), (1.0, 1.0, 1.0, 1.0)), z=11.0, tol=1e-15)
+    # the series ends at t_3, before any checkpoint bounds its ratios below 1:
+    # the walk's anchor is its last term
+    @example(series=HypergeometricSeries((-3.0, 2.5), (1.5, 0.25, 1.0)), z=20.0, tol=1e-15)
     @settings(max_examples=100, deadline=None)
     def test_estimate_covers_absolute_tail(self, series, z, tol):
         res = eval_pfq(series, z * z, tol)
@@ -682,8 +719,8 @@ class TestTailBound:
 
 
 class TestCoarsenedUnit:
-    """Past z ~ 55 the base terms outgrow bits + 2 _GUARD_BITS, and the walk
-    coarsens its unit at every few terms of the rise."""
+    """Past z ~ 55 the base terms outgrow bits + 2 _GUARD_BITS: the walk starts
+    at its anchor, 2^(bits + _GUARD_BITS), and every term shrinks away from it."""
 
     @pytest.mark.parametrize("z", [150.0, 600.0])
     @pytest.mark.parametrize("tol", [1e-15, 1e-10])
@@ -706,12 +743,13 @@ class TestCoarsenedUnit:
     # the large-z transverse 2F3, where the cancellation bites
     @example(series=LARGE_Z_2F3, z=150.0, tol=1e-15, bits_extra=None)
     @example(series=LARGE_Z_2F3, z=60.0, tol=1e-10, bits_extra=150)
+    @example(series=LARGE_Z_2F3, z=150.0, tol=1e-10, bits_extra=0)  # t_0 floors to 0
     # a numerator equal to a denominator cancels from every ratio
     @example(series=HypergeometricSeries((math.e, 0.3), (1.1, math.e, 4.5)), z=97.0, tol=1e-10, bits_extra=None)
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_kernel(self, series, z, tol, bits_extra):
         # the reference applies the same rule term by term, so both kernels
-        # must rescale at the same terms whatever the chunk sizes
+        # must anchor, floor and stop at the same terms whatever the chunk sizes
         overrides = {} if bits_extra is None else {"bits": DOUBLE_BITS + bits_extra}
         fresh = HypergeometricSeries(series.numerator_params, series.denominator_params)
         got = outcome(eval_pfq, series, z * z, tol, **overrides)
